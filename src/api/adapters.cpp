@@ -1,6 +1,5 @@
 #include "src/api/adapters.hpp"
 
-#include <optional>
 #include <stdexcept>
 
 #include "src/common/assert.hpp"
@@ -11,25 +10,14 @@
 
 namespace memhd::api {
 
-namespace {
-// Pinned inference engine for one serving thread: snapshots the deployed
-// search plane so repeated serve batches pay neither snapshot nor repack
-// again. With the cascade enabled this pins the model's CascadeSearcher —
-// prescreen sub-plane AND exact plane in one immutable object — so a shard
-// worker keeps scoring the version it pinned at batch cut even while a hot
-// swap publishes a new one (the BatchServer rebuilds contexts on version
-// change, which is what re-points shards at the new planes). Without the
-// cascade it is the exhaustive BatchScorer, as before.
-struct MemhdPredictContext final : Classifier::PredictContext {
-  explicit MemhdPredictContext(const core::MemhdModel& model)
-      : cascade(model.cascade_ptr()) {
-    if (cascade == nullptr) scorer.emplace(model.am().binary());
-  }
-  std::shared_ptr<const search::CascadeSearcher> cascade;
-  std::optional<common::BatchScorer> scorer;  // engaged iff cascade == null
-  std::vector<std::uint32_t> best;
-};
-}  // namespace
+// A shard worker keeps scoring the version it pinned at batch cut even while
+// a hot swap publishes a new one: the pointers below keep that version's
+// planes alive, and the BatchServer rebuilds contexts on version change,
+// which is what re-points shards at the new planes.
+MemhdPredictContext::MemhdPredictContext(const core::MemhdModel& model)
+    : cascade(model.cascade_ptr()), plane(model.am().plane()) {
+  MEMHD_EXPECTS(plane != nullptr);
+}
 
 // ------------------------------------------------------------------ MEMHD --
 
@@ -71,18 +59,17 @@ void MemhdClassifier::predict_batch_into(const common::Matrix& features,
     return;
   }
   MEMHD_EXPECTS(out.size() == features.rows());
-  // Same batch encode and the same search engine as predict_batch — the
-  // pinned CascadeSearcher when the cascade is on, the fused
-  // winner-take-all kernel otherwise (BatchScorer::dot_argmax and
-  // blocked_dot_argmax share one implementation) — hence bit-identical;
-  // only the snapshot/repack is pre-paid.
+  // Same batch encode and the same search engine objects as predict_batch
+  // — the version's CascadeSearcher when the cascade is on, its frozen
+  // plane otherwise — hence bit-identical; the context only saves the
+  // label vector and keeps the pinned version's planes alive.
   const auto encoded = model_.encoder().encode_batch(features);
   if (ctx->cascade != nullptr)
     ctx->cascade->dot_argmax(std::span<const common::BitVector>(encoded),
                              ctx->best);
   else
-    ctx->scorer->dot_argmax(std::span<const common::BitVector>(encoded),
-                            ctx->best);
+    ctx->plane->dot_argmax(std::span<const common::BitVector>(encoded),
+                           ctx->best);
   for (std::size_t q = 0; q < encoded.size(); ++q)
     out[q] = model_.am().owner(ctx->best[q]);
 }

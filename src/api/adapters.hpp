@@ -6,14 +6,30 @@
 // use — the adapters add no per-sample loops of their own.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/api/classifier.hpp"
 #include "src/api/options.hpp"
 #include "src/baselines/baseline.hpp"
+#include "src/common/bitops_batch.hpp"
 #include "src/core/model.hpp"
 
 namespace memhd::api {
+
+/// MEMHD's PredictContext: pins the model version's frozen search engine —
+/// the cascade when enabled, else the AM's packed exhaustive plane
+/// (core::MultiCentroidAM::plane()) — by pointer. Building one copies two
+/// shared_ptrs; nothing is re-packed, so a hot-swap context rebuild costs a
+/// pointer copy and every context of a version shares that version's one
+/// plane.
+struct MemhdPredictContext final : Classifier::PredictContext {
+  explicit MemhdPredictContext(const core::MemhdModel& model);
+  std::shared_ptr<const search::CascadeSearcher> cascade;  // null if off
+  std::shared_ptr<const common::BatchScorer> plane;        // never null
+  std::vector<std::uint32_t> best;                         // scratch
+};
 
 class MemhdClassifier final : public Classifier {
  public:
@@ -33,9 +49,8 @@ class MemhdClassifier final : public Classifier {
   data::Label predict(std::span<const float> features) const override;
   std::vector<data::Label> predict_batch(
       const common::Matrix& features) const override;
-  /// Context pins a common::BatchScorer over the deployed binary AM, so the
-  /// kernel's word-major repack happens once per context instead of once
-  /// per predict_batch call (the win for steady streams of serve batches).
+  /// A MemhdPredictContext: pins the version's frozen plane (and cascade)
+  /// by pointer; no copy, no repack.
   std::unique_ptr<PredictContext> make_predict_context() const override;
   void predict_batch_into(const common::Matrix& features,
                           std::span<data::Label> out,

@@ -242,15 +242,16 @@ void BatchServer::shard_loop(Shard& shard) {
       const Classifier* model = shard.model;
       const std::uint64_t version = shard.version;
       lock.unlock();
-      // The context (for MEMHD a pre-repacked BatchScorer over the deployed
-      // AM) is this worker's private scoring engine — built and only ever
-      // touched on this thread, and rebuilt only when the dispatched
-      // version changed (version ids are never reused, so id equality means
-      // the same frozen model). The dispatcher's pin keeps *model alive
-      // through the completion wait. Construction failure (e.g. bad_alloc
-      // during the repack) must not escape the thread entry and terminate
-      // the process — the shard just runs context-free, which is the plain
-      // predict_batch path and bit-identical anyway.
+      // The context (for MEMHD a pointer pin of the version's frozen
+      // search plane) is this worker's private scoring scratch — built and
+      // only ever touched on this thread, and rebuilt only when the
+      // dispatched version changed (version ids are never reused, so id
+      // equality means the same frozen model). The dispatcher's pin keeps
+      // *model alive through the completion wait. Construction failure
+      // (e.g. bad_alloc, or a model's own context doing real work) must not
+      // escape the thread entry and terminate the process — the shard just
+      // runs context-free, which is the plain predict_batch path and
+      // bit-identical anyway.
       if (shard.context_version != version) {
         try {
           shard.context = model->make_predict_context();

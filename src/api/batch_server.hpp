@@ -13,12 +13,13 @@
 // A cut batch larger than `shard_quantum` rows is split row-wise into up to
 // `shards` contiguous pieces; each piece is scored by its shard worker
 // through Classifier::predict_batch_into with that shard's pinned
-// PredictContext (reusable scoring scratch — for MEMHD a pre-repacked
-// common::BatchScorer), and each row's future completes as soon as its
-// piece finishes. Shard workers score inline (common::InlineParallelScope)
-// so the shard set itself is the parallelism — sibling shards never contend
-// for the shared thread pool. Batches at or below the quantum run exactly
-// as in the unsharded server.
+// PredictContext (reusable scoring scratch — for MEMHD a pointer pin of
+// the version's frozen search plane), and each row's future completes as
+// soon as its piece finishes. Shard workers score inline
+// (common::InlineParallelScope) so the shard set itself is the parallelism
+// — sibling shards never contend for the shared thread pool. Batches at or below the quantum run exactly
+// as in the unsharded server, context-free, through the same frozen plane
+// (core::MultiCentroidAM::plane()) the shard contexts pin.
 //
 // Bit-identity contract: predict_batch is bit-identical to per-sample
 // predict() for every registry model, and predict_batch_into is
@@ -74,8 +75,8 @@
 //
 // Cascade-enabled models ride the same mechanism: a MEMHD PredictContext
 // pins the model version's immutable search::CascadeSearcher (prescreen
-// sub-plane + exact plane + margin-bound popcounts) instead of a plain
-// BatchScorer, so each shard holds exactly one prescreen plane per pinned
+// sub-plane + the version's exact plane + margin-bound popcounts) as well
+// as its plane, so each shard holds exactly one prescreen plane per pinned
 // version and swaps it atomically with the context at the next batch cut —
 // a hot swap can never score one shard piece against the old version's
 // prescreen and another against the new one (hammer-tested in
@@ -249,8 +250,8 @@ class BatchServer {
     const Classifier* model MEMHD_GUARDED_BY(mutex) = nullptr;
     std::uint64_t version MEMHD_GUARDED_BY(mutex) = 0;
     /// Worker-private scoring scratch, rebuilt only when `version` differs
-    /// from the version it was built for (steady serving on one version
-    /// pays the repack once; a swap pays it once per shard). Deliberately
+    /// from the version it was built for (for MEMHD a rebuild is a pointer
+    /// copy of the version's frozen plane). Deliberately
     /// NOT guarded: thread-confined to the shard thread, which touches it
     /// only between the handoff points above (both under `mutex`).
     std::unique_ptr<Classifier::PredictContext> context;

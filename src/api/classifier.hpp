@@ -62,11 +62,11 @@ class Classifier {
       const common::Matrix& features) const = 0;
 
   /// Opaque, model-specific inference scratch reused across
-  /// predict_batch_into calls — e.g. a pinned common::BatchScorer whose
-  /// word-major repack of the deployed AM amortizes across serve batches
-  /// instead of recurring per call. A context serves one thread at a time
-  /// (api::BatchServer pins one per shard worker) and snapshots the fitted
-  /// state: rebuild it after another fit() or load.
+  /// predict_batch_into calls — for MEMHD a pointer pin of the model
+  /// version's frozen search plane plus a label buffer. A context serves
+  /// one thread at a time (api::BatchServer pins one per shard worker) and
+  /// pins the fitted state it was made from: rebuild it after another
+  /// fit() or load.
   class PredictContext {
    public:
     virtual ~PredictContext() = default;

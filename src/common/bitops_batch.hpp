@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -125,6 +126,8 @@ class BatchScorer {
 
   std::size_t rows() const { return rows_.rows(); }
   std::size_t cols() const { return rows_.cols(); }
+  /// The row-major snapshot this scorer was packed from.
+  const BitMatrix& matrix() const { return rows_; }
 
   /// The backend this scorer was packed for (== active_backend() at
   /// construction time).
@@ -191,17 +194,26 @@ inline void BatchScorer::dot_argmax(std::span<const BitVector> queries,
 /// the shared scaffold of the evaluation loops (chunking bounds the
 /// per-call working set while the scorer's repack amortizes across chunks).
 template <typename Visit>
-void chunked_dot_argmax(const BitMatrix& rows,
+void chunked_dot_argmax(const BatchScorer& scorer,
                         std::span<const BitVector> queries, Visit&& visit,
                         std::size_t chunk = 2048) {
-  if (queries.empty() || rows.empty()) return;
-  const BatchScorer scorer(rows);
+  if (queries.empty() || scorer.rows() == 0) return;
   std::vector<std::uint32_t> best;
   for (std::size_t begin = 0; begin < queries.size(); begin += chunk) {
     const std::size_t n = std::min(chunk, queries.size() - begin);
     scorer.dot_argmax(queries.subspan(begin, n), best);
     for (std::size_t i = 0; i < n; ++i) visit(begin + i, best[i]);
   }
+}
+
+/// Same, over a row matrix that has no scorer yet: packs one for the sweep.
+template <typename Visit>
+void chunked_dot_argmax(const BitMatrix& rows,
+                        std::span<const BitVector> queries, Visit&& visit,
+                        std::size_t chunk = 2048) {
+  if (queries.empty() || rows.empty()) return;
+  chunked_dot_argmax(BatchScorer(rows), queries, std::forward<Visit>(visit),
+                     chunk);
 }
 
 }  // namespace memhd::common

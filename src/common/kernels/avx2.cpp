@@ -203,10 +203,12 @@ void argmax_block(const std::uint64_t* amt, std::size_t rpad,
                   std::size_t q_begin, std::size_t q_end, std::uint32_t* out) {
   const __m256i lane_ids = _mm256_setr_epi64x(0, 1, 2, 3);
   const __m256i zero = _mm256_setzero_si256();
-  std::size_t q = q_begin;
-  for (; q + 2 <= q_end; q += 2) {
+  for (std::size_t q = q_begin; q < q_end; q += 2) {
+    // A lone tail query rides the 2-query tile as its own twin (result
+    // dropped): fewer strided walks of the word-major plane than a
+    // one-query pass per 4 rows, so it costs less than the pass did.
     const std::uint64_t* qa = queries[q];
-    const std::uint64_t* qb = queries[q + 1];
+    const std::uint64_t* qb = queries[q + 1 < q_end ? q + 1 : q];
     __m256i vmax0 = zero, vidx0 = lane_ids;
     __m256i vmax1 = zero, vidx1 = lane_ids;
     std::size_t g = 0;
@@ -233,17 +235,7 @@ void argmax_block(const std::uint64_t* amt, std::size_t rpad,
                   idx);
     }
     out[q] = argmax_reduce(vmax0, vidx0);
-    out[q + 1] = argmax_reduce(vmax1, vidx1);
-  }
-  for (; q < q_end; ++q) {
-    const std::uint64_t* qw = queries[q];
-    __m256i vmax = zero, vidx = lane_ids;
-    for (std::size_t g = 0; g < rpad; g += 4)
-      argmax_fold(vmax, vidx,
-                  group_scores<PopcountOp::kAnd>(amt + g, rpad, nwords, qw),
-                  _mm256_add_epi64(lane_ids, _mm256_set1_epi64x(
-                                                 static_cast<long long>(g))));
-    out[q] = argmax_reduce(vmax, vidx);
+    if (q + 1 < q_end) out[q + 1] = argmax_reduce(vmax1, vidx1);
   }
 }
 

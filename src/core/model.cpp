@@ -38,7 +38,7 @@ MemhdModel::MemhdModel(const MemhdModel& other)
       encoder_(other.encoder_),  // immutable: shared, not copied
       am_(other.am_ ? std::make_unique<MultiCentroidAM>(*other.am_)
                     : nullptr),
-      cascade_(other.cascade_) {}  // immutable snapshot: shared, not rebuilt
+      cascade_(other.cascade_) {}  // immutable: shared, not rebuilt
 
 MemhdModel& MemhdModel::operator=(const MemhdModel& other) {
   if (this == &other) return *this;
@@ -50,12 +50,24 @@ MemhdModel& MemhdModel::operator=(const MemhdModel& other) {
   return *this;
 }
 
-void MemhdModel::refresh_cascade() {
-  if (cfg_.cascade.enabled && am_ != nullptr)
-    cascade_ = std::make_shared<const search::CascadeSearcher>(am_->binary(),
+void MemhdModel::refresh_search() {
+  if (am_ == nullptr) {
+    cascade_.reset();
+    return;
+  }
+  am_->freeze();
+  if (cfg_.cascade.enabled)
+    cascade_ = std::make_shared<const search::CascadeSearcher>(am_->plane(),
                                                                cfg_.cascade);
   else
     cascade_.reset();
+}
+
+std::vector<data::Label> MemhdModel::predict_encoded(
+    std::span<const common::BitVector> encoded) const {
+  MEMHD_EXPECTS(am_ != nullptr);
+  if (cascade_ != nullptr) return am_->predict_batch(encoded, *cascade_);
+  return am_->predict_batch(encoded);
 }
 
 const MultiCentroidAM& MemhdModel::am() const {
@@ -92,30 +104,24 @@ FitReport MemhdModel::fit_encoded(const hdc::EncodedDataset& train,
   qc.normalization = cfg_.normalization;
   qc.seed = cfg_.seed;
   report.training = train_qat(*am_, train, eval, qc);
-  refresh_cascade();
+  refresh_search();
   return report;
 }
 
 data::Label MemhdModel::predict(std::span<const float> features) const {
   MEMHD_EXPECTS(am_ != nullptr);
-  if (cascade_ != nullptr) {
-    // Route the single query through the same cascade as predict_batch:
-    // in kThreshold mode the shortlist is part of the result, so only a
-    // shared code path keeps predict() bit-identical to predict_batch()
-    // per row (the api::Classifier contract).
-    const common::BitVector hv = encoder_->encode(features);
-    return am_->predict_batch(std::span<const common::BitVector>(&hv, 1),
-                              *cascade_)[0];
-  }
-  return am_->predict_binary(encoder_->encode(features));
+  // One row through the same search as predict_batch: in the cascade's
+  // kThreshold mode the shortlist is part of the result, so only a shared
+  // code path keeps predict() bit-identical to predict_batch() per row (the
+  // api::Classifier contract).
+  const common::BitVector hv = encoder_->encode(features);
+  return predict_encoded(std::span<const common::BitVector>(&hv, 1))[0];
 }
 
 std::vector<data::Label> MemhdModel::predict_batch(
     const common::Matrix& features) const {
   MEMHD_EXPECTS(am_ != nullptr);
-  const auto encoded = encoder_->encode_batch(features);
-  if (cascade_ != nullptr) return am_->predict_batch(encoded, *cascade_);
-  return am_->predict_batch(encoded);
+  return predict_encoded(encoder_->encode_batch(features));
 }
 
 bool MemhdModel::update(std::span<const float> features, data::Label truth) {
@@ -133,7 +139,7 @@ bool MemhdModel::update(std::span<const float> features, data::Label truth) {
   hdc::add_bipolar(am_->fp().row(predicted_slot), hv, -cfg_.learning_rate);
   am_->normalize(cfg_.normalization);
   am_->binarize();
-  refresh_cascade();  // the binary plane changed; re-snapshot
+  refresh_search();  // the binary plane changed; re-freeze
   return true;
 }
 
@@ -170,8 +176,11 @@ PartialFitReport MemhdModel::partial_fit(
   // quantization threshold (global FP mean) is computed once per batch —
   // one update moves it by O(learning_rate / columns), noise at these
   // scales — and the final binarize_rows below re-quantizes every touched
-  // row against the exact end-of-batch mean.
-  const float threshold = static_cast<float>(am_->fp().mean());
+  // row against the exact end-of-batch mean. The AM caches the mean of its
+  // last scan (the previous batch's final binarize_rows), and the FP shadow
+  // has not changed since, so a steady stream of batches scans it at most
+  // once per batch, and a miss-free batch not at all.
+  const float threshold = static_cast<float>(am_->fp_mean());
   std::vector<std::uint32_t> scores;
   std::size_t pair[2];
   for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -201,9 +210,9 @@ PartialFitReport MemhdModel::partial_fit(
     am_->normalize_rows(cfg_.normalization, touched);
     am_->binarize_rows(touched);
   }
-  // One snapshot refresh per batch (covers extend_classes growth too);
-  // readers holding the previous cascade_ptr() keep their old plane.
-  if (report.mispredicted > 0 || report.new_columns > 0) refresh_cascade();
+  // One re-freeze per batch (covers extend_classes growth too); readers
+  // holding the previous plane or cascade_ptr() keep their old snapshot.
+  if (report.mispredicted > 0 || report.new_columns > 0) refresh_search();
   return report;
 }
 
@@ -266,7 +275,7 @@ QatTrace MemhdModel::adapt(const data::Dataset& data, std::size_t epochs) {
   qc.keep_best = false;  // no eval set: keep the final state
   qc.seed = cfg_.seed ^ 0xADA97ULL;
   QatTrace trace = train_qat(*am_, encoded, nullptr, qc);
-  refresh_cascade();
+  refresh_search();
   return trace;
 }
 

@@ -46,10 +46,11 @@ class MemhdModel {
 
   /// Copies are cheap where it matters: the AM (FP shadow + binary plane)
   /// is deep-copied, while the immutable projection encoder — the dominant
-  /// f x D plane — is SHARED between the copies. This is the copy-on-write
-  /// building block online::ModelStore versions are made of: partial_fit on
-  /// a copy never disturbs the original, and the untouched encoder plane is
-  /// paid for once.
+  /// f x D plane — the AM's frozen packed search plane and the cascade are
+  /// SHARED between the copies. This is the copy-on-write building block
+  /// online::ModelStore versions are made of: partial_fit on a copy never
+  /// disturbs the original (a copy that changes its AM drops only its own
+  /// plane pointer), and the untouched planes are paid for once.
   MemhdModel(const MemhdModel& other);
   MemhdModel& operator=(const MemhdModel& other);
   MemhdModel(MemhdModel&&) noexcept = default;
@@ -60,13 +61,15 @@ class MemhdModel {
   std::size_t num_classes() const { return num_classes_; }
 
   const hdc::ProjectionEncoder& encoder() const { return *encoder_; }
-  /// Valid after fit()/fit_encoded().
+  /// Valid after fit()/fit_encoded(). A fitted model's AM is always frozen
+  /// (MultiCentroidAM::plane() is non-null): every mutation below ends by
+  /// re-freezing it.
   const MultiCentroidAM& am() const;
 
   /// The coarse-to-fine searcher predictions route through, or nullptr
   /// when cfg.cascade is disabled / the model is unfitted. Rebuilt by every
-  /// AM mutation (fit, update, partial_fit, adapt, load), so it always
-  /// snapshots the deployed binary plane.
+  /// AM mutation (fit, update, partial_fit, adapt, load) over the AM's
+  /// frozen plane, so it always searches the deployed binary plane.
   const search::CascadeSearcher* cascade() const { return cascade_.get(); }
   /// Shared ownership of the same searcher: serving contexts
   /// (api::Classifier::PredictContext) pin the snapshot they batch against
@@ -83,7 +86,7 @@ class MemhdModel {
   FitReport fit_encoded(const hdc::EncodedDataset& train,
                         const hdc::EncodedDataset* eval = nullptr);
 
-  /// Predicts the class of one raw feature vector.
+  /// Predicts the class of one raw feature vector: a one-row predict_batch.
   data::Label predict(std::span<const float> features) const;
 
   /// Batched inference over a feature matrix (one row per sample): blocked
@@ -146,18 +149,23 @@ class MemhdModel {
                       std::vector<std::size_t>& touched,
                       PartialFitReport& report);
 
-  /// Re-snapshots cascade_ from the current binary AM (or clears it when
-  /// the cascade is disabled). Called after every mutation of am_.
-  void refresh_cascade();
+  /// Freezes am_'s packed search plane and re-builds cascade_ over it (or
+  /// clears cascade_ when the cascade is disabled). Called after every
+  /// mutation of am_, so readers never see an unfrozen AM.
+  void refresh_search();
+  /// The one search every predict path runs: the cascade when enabled,
+  /// the frozen exhaustive plane otherwise.
+  std::vector<data::Label> predict_encoded(
+      std::span<const common::BitVector> encoded) const;
 
   MemhdConfig cfg_;
   std::size_t num_classes_ = 0;
   /// Shared between copies (immutable after construction; see copy ctor).
   std::shared_ptr<const hdc::ProjectionEncoder> encoder_;
   std::unique_ptr<MultiCentroidAM> am_;
-  /// Immutable snapshot searcher over am_'s binary plane; shared between
-  /// copies like the encoder (a copy that later mutates its AM rebuilds
-  /// its own). Null when disabled.
+  /// Immutable searcher over am_'s frozen plane; shared between copies
+  /// like the encoder (a copy that later mutates its AM rebuilds its own).
+  /// Null when disabled.
   std::shared_ptr<const search::CascadeSearcher> cascade_;
 };
 

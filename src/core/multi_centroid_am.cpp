@@ -53,6 +53,7 @@ void MultiCentroidAM::set_centroid(std::size_t col, data::Label owner,
   owner_[col] = owner;
   class_slots_[owner].push_back(col);
   std::copy(values.begin(), values.end(), fp_.row(col).begin());
+  fp_mean_.reset();
 }
 
 bool MultiCentroidAM::fully_assigned() const {
@@ -60,8 +61,18 @@ bool MultiCentroidAM::fully_assigned() const {
                       [](data::Label l) { return l == kUnassigned; });
 }
 
+double MultiCentroidAM::fp_mean() {
+  if (!fp_mean_) fp_mean_ = fp_.mean();
+  return *fp_mean_;
+}
+
+void MultiCentroidAM::freeze() {
+  plane_ = std::make_shared<const common::BatchScorer>(binary_);
+}
+
 void MultiCentroidAM::binarize() {
-  const float threshold = static_cast<float>(fp_.mean());
+  plane_.reset();
+  const float threshold = static_cast<float>(fp_mean());
   for (std::size_t col = 0; col < columns_; ++col) {
     const auto row = fp_.row(col);
     binary_.set_row(col, common::BitVector::from_threshold(
@@ -70,11 +81,12 @@ void MultiCentroidAM::binarize() {
 }
 
 void MultiCentroidAM::binarize_rows(std::span<const std::size_t> rows) {
-  binarize_rows(rows, static_cast<float>(fp_.mean()));
+  binarize_rows(rows, static_cast<float>(fp_mean()));
 }
 
 void MultiCentroidAM::binarize_rows(std::span<const std::size_t> rows,
                                     float threshold) {
+  plane_.reset();
   for (const std::size_t col : rows) {
     MEMHD_EXPECTS(col < columns_);
     const auto row = fp_.row(col);
@@ -88,6 +100,8 @@ void MultiCentroidAM::extend(std::size_t new_num_classes,
   MEMHD_EXPECTS(new_num_classes >= num_classes_);
   const std::size_t new_columns = columns_ + extra_columns;
   MEMHD_EXPECTS(new_columns >= new_num_classes);
+  plane_.reset();
+  fp_mean_.reset();
   owner_.resize(new_columns, kUnassigned);
   class_slots_.resize(new_num_classes);
   const std::vector<float> zeros(dim_, 0.0f);
@@ -108,6 +122,7 @@ void MultiCentroidAM::extend(std::size_t new_num_classes,
 
 void MultiCentroidAM::restore_binary(const common::BitMatrix& snapshot) {
   MEMHD_EXPECTS(snapshot.rows() == columns_ && snapshot.cols() == dim_);
+  plane_.reset();
   binary_ = snapshot;
 }
 
@@ -138,6 +153,7 @@ void normalize_one_row(std::span<float> row, NormalizationMode mode) {
 
 void MultiCentroidAM::normalize(NormalizationMode mode) {
   if (mode == NormalizationMode::kNone) return;
+  fp_mean_.reset();
   for (std::size_t col = 0; col < columns_; ++col)
     normalize_one_row(fp_.row(col), mode);
 }
@@ -145,6 +161,7 @@ void MultiCentroidAM::normalize(NormalizationMode mode) {
 void MultiCentroidAM::normalize_rows(NormalizationMode mode,
                                      std::span<const std::size_t> rows) {
   if (mode == NormalizationMode::kNone) return;
+  fp_mean_.reset();
   for (const std::size_t col : rows) {
     MEMHD_EXPECTS(col < columns_);
     normalize_one_row(fp_.row(col), mode);
@@ -159,8 +176,11 @@ void MultiCentroidAM::scores_binary(const common::BitVector& query,
 
 void MultiCentroidAM::scores_batch(std::span<const common::BitVector> queries,
                                    std::vector<std::uint32_t>& out) const {
-  common::blocked_popcount_scores(binary_, queries, common::PopcountOp::kAnd,
-                                  out);
+  if (plane_ != nullptr)
+    plane_->scores(queries, common::PopcountOp::kAnd, out);
+  else
+    common::blocked_popcount_scores(binary_, queries,
+                                    common::PopcountOp::kAnd, out);
 }
 
 void MultiCentroidAM::scores_fp(const common::BitVector& query,
@@ -210,7 +230,10 @@ std::vector<data::Label> MultiCentroidAM::predict_batch(
   // Fused winner-take-all search: same first-wins argmax as predict_binary,
   // computed inside the scoring tiles (no per-query score table).
   std::vector<std::uint32_t> best;
-  common::blocked_dot_argmax(binary_, queries, best);
+  if (plane_ != nullptr)
+    plane_->dot_argmax(queries, best);
+  else
+    common::blocked_dot_argmax(binary_, queries, best);
   std::vector<data::Label> out(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     MEMHD_ENSURES(owner_[best[q]] != kUnassigned);
@@ -288,11 +311,14 @@ double evaluate_binary(const MultiCentroidAM& am,
   if (test.empty()) return 0.0;
   // Batched recall in chunks: same predictions as per-query predict_binary.
   std::size_t correct = 0;
-  common::chunked_dot_argmax(
-      am.binary(), std::span<const common::BitVector>(test.hypervectors),
-      [&](std::size_t i, std::uint32_t best) {
-        if (am.owner(best) == test.labels[i]) ++correct;
-      });
+  const auto visit = [&](std::size_t i, std::uint32_t best) {
+    if (am.owner(best) == test.labels[i]) ++correct;
+  };
+  const std::span<const common::BitVector> queries(test.hypervectors);
+  if (am.frozen())
+    common::chunked_dot_argmax(*am.plane(), queries, visit);
+  else
+    common::chunked_dot_argmax(am.binary(), queries, visit);
   return static_cast<double>(correct) / static_cast<double>(test.size());
 }
 

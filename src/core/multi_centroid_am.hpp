@@ -8,9 +8,29 @@
 // Like the single-centroid AM, the structure pairs an FP shadow matrix
 // (updated by quantization-aware training) with a packed binary matrix
 // (used for search and for programming the IMC array).
+//
+// The search plane. Once training settles, freeze() packs the binary matrix
+// into an immutable common::BatchScorer — the software analogue of
+// programming the IMC arrays once — and every exhaustive batch read
+// (predict_batch, scores_batch, evaluate_binary) scores through it instead
+// of re-packing the C x D plane per call. The plane is held by shared_ptr:
+// copies of the AM (and so copy-on-write model versions) share one plane,
+// and serving contexts pin it by pointer. Every writer of the binary matrix
+// (binarize, binarize_rows, extend, restore_binary) drops the plane, so a
+// plane, when present, always equals binary() bit for bit; while it is
+// absent (mid-training) the batch reads fall back to the one-shot blocked
+// kernels, with identical results.
+//
+// Thread contract: the plane pointer and the FP-mean cache are written only
+// by non-const members. A const AM may be read from any number of threads;
+// an AM shared between threads must not be mutated while it is read — the
+// copy-on-write store (online::ModelStore) guarantees this by mutating only
+// unpublished copies, and a copy that mutates drops only its own pointer.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,6 +40,10 @@
 #include "src/core/config.hpp"
 #include "src/data/dataset.hpp"
 #include "src/hdc/encoded_dataset.hpp"
+
+namespace memhd::common {
+class BatchScorer;
+}  // namespace memhd::common
 
 namespace memhd::search {
 class CascadeSearcher;
@@ -58,8 +82,36 @@ class MultiCentroidAM {
   bool fully_assigned() const;
 
   const common::Matrix& fp() const { return fp_; }
-  common::Matrix& fp() { return fp_; }
+  /// Mutable FP shadow. Invalidates the fp_mean() cache, so write through
+  /// the returned reference right away; do not keep it across a call that
+  /// reads the mean (binarize, binarize_rows, fp_mean).
+  common::Matrix& fp() {
+    fp_mean_.reset();
+    return fp_;
+  }
   const common::BitMatrix& binary() const { return binary_; }
+
+  /// Exact global mean of the FP shadow — the quantization threshold. The
+  /// value of the last scan is cached until an FP writer (non-const fp(),
+  /// set_centroid, normalize, normalize_rows, extend) runs, so it always
+  /// equals a fresh fp().mean(); binarize() and binarize_rows(rows) fill
+  /// the cache with the scan they do anyway.
+  double fp_mean();
+  /// True when fp_mean() would answer without scanning the FP shadow.
+  bool fp_mean_cached() const { return fp_mean_.has_value(); }
+
+  /// Packs the current binary matrix into the shared, immutable search
+  /// plane (see the header comment). Call after the binary matrix settles;
+  /// any later binary writer drops the plane again. Like any BatchScorer,
+  /// the plane keeps the kernel backend active when it was built.
+  void freeze();
+  /// True when a search plane is present (and equals binary()).
+  bool frozen() const { return plane_ != nullptr; }
+  /// The frozen search plane, or null while unfrozen. Serving contexts and
+  /// the search cascade hold it by pointer.
+  const std::shared_ptr<const common::BatchScorer>& plane() const {
+    return plane_;
+  }
 
   /// 1-bit quantization of the FP matrix: threshold = global mean
   /// (paper §III-B).
@@ -102,7 +154,8 @@ class MultiCentroidAM {
   /// Blocked batch form of scores_binary: out[q * columns() + c] is query
   /// q's dot score against centroid c. Bit-identical to calling
   /// scores_binary per query, but streams the AM through cache once per
-  /// query block (src/common/bitops_batch.hpp).
+  /// query block (src/common/bitops_batch.hpp). Scores through the frozen
+  /// plane when present.
   void scores_batch(std::span<const common::BitVector> queries,
                     std::vector<std::uint32_t>& out) const;
   /// FP dot similarity of the bipolar interpretation of `query` against
@@ -118,7 +171,8 @@ class MultiCentroidAM {
 
   /// Predicted class via binary search: owner of the best slot.
   data::Label predict_binary(const common::BitVector& query) const;
-  /// Batched predict_binary (same argmax and tie-breaking per query).
+  /// Batched predict_binary (same argmax and tie-breaking per query),
+  /// through the frozen plane when present.
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const;
   /// Batched predict through a coarse-to-fine search cascade built over
@@ -151,11 +205,16 @@ class MultiCentroidAM {
   std::vector<std::vector<std::size_t>> class_slots_;
   common::Matrix fp_;                          // columns_ x dim_
   common::BitMatrix binary_;                   // columns_ x dim_
+  /// Packed snapshot of binary_, null while unfrozen (see freeze()).
+  std::shared_ptr<const common::BatchScorer> plane_;
+  /// fp_.mean() as of the last scan; empty once an FP writer ran.
+  std::optional<double> fp_mean_;
 
   static constexpr data::Label kUnassigned = 0xFFFF;
 };
 
-/// Accuracy of the binary multi-centroid AM over an encoded set.
+/// Accuracy of the binary multi-centroid AM over an encoded set (through
+/// the frozen plane when present).
 double evaluate_binary(const MultiCentroidAM& am,
                        const hdc::EncodedDataset& test);
 /// Accuracy of the FP AM over an encoded set (pre-quantization validation).

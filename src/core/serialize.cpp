@@ -155,7 +155,7 @@ MemhdModel load_model(std::istream& in) {
   }
   am->restore_binary(bin);
   model.am_ = std::move(am);
-  model.refresh_cascade();
+  model.refresh_search();
   return model;
 }
 

@@ -93,16 +93,28 @@ std::vector<std::uint32_t> rest_popcounts(
   return out;
 }
 
+const common::BitMatrix& plane_rows(
+    const std::shared_ptr<const common::BatchScorer>& plane) {
+  MEMHD_EXPECTS(plane != nullptr);
+  return plane->matrix();
+}
+
 }  // namespace
 
 CascadeSearcher::CascadeSearcher(const common::BitMatrix& rows,
                                  const CascadeConfig& config)
+    : CascadeSearcher(std::make_shared<const common::BatchScorer>(rows),
+                      config) {}
+
+CascadeSearcher::CascadeSearcher(
+    std::shared_ptr<const common::BatchScorer> plane,
+    const CascadeConfig& config)
     : config_(config),
-      words_(rows.words_per_row()),
-      word_index_(select_words(rows.words_per_row(), config)),
-      rest_pop_(rest_popcounts(rows, word_index_)),
-      full_(rows),
-      sub_(build_sub_plane(rows, word_index_)) {
+      words_(plane_rows(plane).words_per_row()),
+      word_index_(select_words(words_, config)),
+      rest_pop_(rest_popcounts(plane->matrix(), word_index_)),
+      full_(std::move(plane)),
+      sub_(build_sub_plane(full_->matrix(), word_index_)) {
   block_rest_max_.assign((rest_pop_.size() + kSelBlock - 1) / kSelBlock, 0);
   for (std::size_t r = 0; r < rest_pop_.size(); ++r)
     block_rest_max_[r / kSelBlock] =
@@ -129,7 +141,7 @@ void CascadeSearcher::dot_argmax(const std::uint64_t* const* queries,
   if (degenerate()) {
     // The sample is the whole plane: the prescreen would BE the exact
     // score. Run the exhaustive kernel and account it as fallback work.
-    full_.dot_argmax(queries, num_queries, out);
+    full_->dot_argmax(queries, num_queries, out);
     local.fallbacks = num_queries;
     if (stats != nullptr) stats->merge(local);
     return;
@@ -193,7 +205,7 @@ void CascadeSearcher::dot_argmax(const std::uint64_t* const* queries,
     std::vector<const std::uint64_t*> fb_ptrs(fb.size());
     for (std::size_t i = 0; i < fb.size(); ++i) fb_ptrs[i] = queries[fb[i]];
     std::vector<std::uint32_t> fb_out(fb.size());
-    full_.dot_argmax(fb_ptrs.data(), fb_ptrs.size(), fb_out.data());
+    full_->dot_argmax(fb_ptrs.data(), fb_ptrs.size(), fb_out.data());
     for (std::size_t i = 0; i < fb.size(); ++i) out[fb[i]] = fb_out[i];
     local.fallbacks += fb.size();
   }
@@ -273,7 +285,7 @@ void CascadeSearcher::resolve_block(const std::uint64_t* const* queries,
         continue;
       }
       exact.resize(cands.size());
-      full_.scores_rows(queries[q], cands, exact.data());
+      full_->scores_rows(queries[q], cands, exact.data());
       std::uint32_t best = cands[0], best_score = exact[0];
       for (std::size_t i = 1; i < cands.size(); ++i)
         if (exact[i] > best_score) {  // strict: ascending ids = first-wins
@@ -357,7 +369,7 @@ void CascadeSearcher::resolve_block(const std::uint64_t* const* queries,
           0xFFFFFFFFULL - (key & 0xFFFFFFFFULL)));
     std::sort(cands.begin(), cands.end());
     exact.resize(cands.size());
-    full_.scores_rows(queries[q], cands, exact.data());
+    full_->scores_rows(queries[q], cands, exact.data());
     std::uint32_t best = cands[0], best_score = exact[0];
     for (std::size_t i = 1; i < cands.size(); ++i)
       if (exact[i] > best_score) {

@@ -38,12 +38,13 @@
 // searcher is safely shared, unsynchronized, by every serving thread and
 // every copy-on-write model version. Per-call statistics go to a
 // caller-owned CascadeStats, never to shared state. Rebuild the searcher
-// when the centroid plane changes (MemhdModel::refresh_cascade does; the
+// when the centroid plane changes (MemhdModel::refresh_search does; the
 // api::BatchServer shards re-pin it through their PredictContext rebuild on
 // hot swap).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -78,16 +79,22 @@ struct CascadeStats {
 /// The two-stage searcher over one frozen row (centroid) plane. Snapshots
 /// everything it needs — the exact plane, the sampled sub-plane, and the
 /// per-row unsampled popcounts — so the source matrix may be freed or
-/// mutated after construction.
+/// mutated after construction. The exact plane is held by shared_ptr so
+/// it can be the AM's own frozen plane rather than a second copy.
 class CascadeSearcher {
  public:
   /// Throws std::invalid_argument for out-of-range config values
   /// (sample_fraction outside (0, 1], shortlist == 0).
   CascadeSearcher(const common::BitMatrix& rows, const CascadeConfig& config);
+  /// Builds the cascade over an already-packed exact plane and shares it
+  /// (core::MultiCentroidAM::plane(): one packed plane per AM version
+  /// serves both exhaustive and cascade search). `plane` must be non-null.
+  CascadeSearcher(std::shared_ptr<const common::BatchScorer> plane,
+                  const CascadeConfig& config);
 
   const CascadeConfig& config() const { return config_; }
-  std::size_t rows() const { return full_.rows(); }
-  std::size_t cols() const { return full_.cols(); }
+  std::size_t rows() const { return full_->rows(); }
+  std::size_t cols() const { return full_->cols(); }
   /// Number of 64-bit words the prescreen scores per row (D' / 64).
   std::size_t sampled_words() const { return word_index_.size(); }
   /// True when sample_fraction selected every word: the prescreen would be
@@ -120,7 +127,8 @@ class CascadeSearcher {
   /// max of rest_pop_ per kSelBlock-row block: lets the exact-mode bound
   /// discard whole blocks with one comparison before any per-row work.
   std::vector<std::uint32_t> block_rest_max_;
-  common::BatchScorer full_;           // exact plane (stage 2 + fallback)
+  std::shared_ptr<const common::BatchScorer> full_;  // exact plane (stage 2
+                                                     // + fallback)
   common::BatchScorer sub_;            // prescreen plane (stage 1)
 };
 
