@@ -2,8 +2,10 @@
 //
 // MemhdClassifier wraps core::MemhdModel; BaselineClassifier wraps any
 // baselines::BaselineModel behind the same batch-first surface. Both route
-// batched scoring through the blocked kernels the wrapped models already
-// use — the adapters add no per-sample loops of their own.
+// scoring through the search the wrapped models already use — the frozen
+// core::MultiCentroidAM plane for MEMHD, BasicHDC and QuantHD, the blocked
+// kernels for SearcHD and LeHDC — and single-sample predict() is a one-row
+// batch; the adapters add no per-sample loops of their own.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include "src/baselines/quanthd.hpp"
 #include "src/baselines/searchd.hpp"
 #include "src/common/assert.hpp"
+#include "src/hdc/bundling.hpp"
 
 namespace memhd::baselines {
 
@@ -29,6 +30,10 @@ std::vector<common::BitVector> BaselineModel::encode_batch(
   return out;
 }
 
+data::Label BaselineModel::predict(const common::BitVector& query) const {
+  return predict_batch(std::span<const common::BitVector>(&query, 1))[0];
+}
+
 double BaselineModel::evaluate(const data::Dataset& test) const {
   if (test.empty()) return 0.0;
   const auto encoded = encode_dataset(test);
@@ -48,6 +53,24 @@ core::MemoryBreakdown BaselineModel::memory() const {
   p.n_models = config_.n_models;
   p.basis = config_.basis;
   return core::memory_requirement(kind(), p);
+}
+
+core::MultiCentroidAM class_am(const common::Matrix& class_vectors) {
+  const std::size_t k = class_vectors.rows();
+  core::MultiCentroidAM am(k, class_vectors.cols(), k);
+  for (std::size_t c = 0; c < k; ++c)
+    am.set_centroid(c, static_cast<data::Label>(c), class_vectors.row(c));
+  return am;
+}
+
+core::MultiCentroidAM single_pass_am(const hdc::EncodedDataset& train,
+                                     std::size_t num_classes) {
+  common::Matrix sums(num_classes, train.dim, 0.0f);
+  for (std::size_t i = 0; i < train.size(); ++i)
+    hdc::add_bipolar(sums.row(train.labels[i]), train.hypervectors[i], 1.0f);
+  auto am = class_am(sums);
+  am.binarize();
+  return am;
 }
 
 std::unique_ptr<BaselineModel> make_baseline(core::ModelKind kind,

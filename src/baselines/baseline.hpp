@@ -3,13 +3,16 @@
 // Every baseline deploys a binary AM searched with MVM dot similarity
 // (paper §IV-F: "all models employ MVM-based associative search for
 // inference"), so they share one inference contract: encode features to a
-// packed hypervector, score it against every stored row with the blocked
-// popcount kernels (src/common/bitops_batch.hpp), take the argmax. The
-// models differ only in encoder family, AM structure, and training scheme,
-// which is exactly what the virtuals below capture. The batch-first
-// surface (encode_batch / predict_batch / scores_batch) is what the
-// api::Classifier adapters drive; none of it falls back to per-sample
-// scoring loops.
+// packed hypervector, score it against every stored row, take the argmax.
+// The models differ only in encoder family, AM structure, and training
+// scheme, which is exactly what the virtuals below capture. BasicHDC and
+// QuantHD keep one class vector per class: a core::MultiCentroidAM with
+// one column per class (class_am below), searched through its frozen
+// plane. SearcHD and LeHDC score their own bit matrices with the blocked
+// kernels (src/common/bitops_batch.hpp). The batch-first surface
+// (encode_batch / predict_batch / scores_batch) is what the api::Classifier
+// adapters drive; the one-query predict() is a one-row call of
+// predict_batch, so the two cannot disagree.
 #pragma once
 
 #include <iosfwd>
@@ -21,6 +24,7 @@
 #include "src/common/bit_vector.hpp"
 #include "src/common/matrix.hpp"
 #include "src/core/memory_model.hpp"
+#include "src/core/multi_centroid_am.hpp"
 #include "src/data/dataset.hpp"
 #include "src/hdc/encoded_dataset.hpp"
 
@@ -73,11 +77,12 @@ class BaselineModel {
   virtual hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const = 0;
 
-  /// Per-query inference on a pre-encoded query (valid after fit()).
-  virtual data::Label predict(const common::BitVector& query) const = 0;
+  /// Per-query inference on a pre-encoded query (valid after fit()): a
+  /// one-row call of predict_batch.
+  data::Label predict(const common::BitVector& query) const;
 
   /// Batched inference over pre-encoded queries through the blocked
-  /// winner-take-all kernel. Bit-identical to per-query predict().
+  /// winner-take-all kernel.
   virtual std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const = 0;
 
@@ -115,6 +120,17 @@ class BaselineModel {
   std::size_t num_features_ = 0;
   std::size_t num_classes_ = 0;
 };
+
+/// The single-centroid AM of BasicHDC and QuantHD (paper §II-C) as the
+/// K = 1 case of the multi-centroid AM: one column per class, slot c owned
+/// by class c, FP shadow row c = row c of `class_vectors`. The binary plane
+/// is left all-zero; binarize() or restore_binary() fills it.
+core::MultiCentroidAM class_am(const common::Matrix& class_vectors);
+
+/// Single-pass training (C_k = sum of the bipolar samples of class k), then
+/// 1-bit quantization against the global FP mean.
+core::MultiCentroidAM single_pass_am(const hdc::EncodedDataset& train,
+                                     std::size_t num_classes);
 
 /// Factory over core::ModelKind (kMemhd is not a baseline and is rejected).
 std::unique_ptr<BaselineModel> make_baseline(core::ModelKind kind,

@@ -1,7 +1,7 @@
 #include "src/baselines/basic_hdc.hpp"
 
 #include "src/common/io.hpp"
-#include "src/hdc/trainers.hpp"
+#include "src/hdc/bundling.hpp"
 
 namespace memhd::baselines {
 
@@ -22,20 +22,27 @@ BasicHdc::BasicHdc(std::size_t num_features, std::size_t num_classes,
                    const BaselineConfig& config)
     : BaselineModel(config, num_features, num_classes),
       encoder_(make_encoder_config(num_features, config)),
-      am_(num_classes, config.dim) {}
+      am_(class_am(common::Matrix(num_classes, config.dim, 0.0f))) {}
 
 void BasicHdc::fit(const data::Dataset& train) {
   const auto encoded = encoder_.encode_dataset(train);
-  hdc::train_single_pass(am_, encoded);
+  am_ = single_pass_am(encoded, num_classes_);
   if (config_.epochs > 0) {
     // Optional FP iterative refinement (Eq. 2) followed by binarization;
     // the paper's BasicHDC row is single-pass, so benches pass epochs = 0.
-    hdc::IterativeConfig ic;
-    ic.epochs = config_.epochs;
-    ic.learning_rate = config_.learning_rate;
-    ic.quantization_aware = false;
-    hdc::train_iterative(am_, encoded, ic);
+    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+      for (std::size_t i = 0; i < encoded.size(); ++i) {
+        const auto& hv = encoded.hypervectors[i];
+        const data::Label truth = encoded.labels[i];
+        const data::Label predicted = am_.predict_fp(hv);
+        if (predicted == truth) continue;
+        hdc::add_bipolar(am_.fp().row(truth), hv, config_.learning_rate);
+        hdc::add_bipolar(am_.fp().row(predicted), hv, -config_.learning_rate);
+      }
+    }
+    am_.binarize();
   }
+  am_.freeze();
 }
 
 common::BitVector BasicHdc::encode(std::span<const float> features) const {
@@ -50,10 +57,6 @@ std::vector<common::BitVector> BasicHdc::encode_batch(
 hdc::EncodedDataset BasicHdc::encode_dataset(
     const data::Dataset& dataset) const {
   return encoder_.encode_dataset(dataset);
-}
-
-data::Label BasicHdc::predict(const common::BitVector& query) const {
-  return am_.predict_binary(query);
 }
 
 std::vector<data::Label> BasicHdc::predict_batch(
@@ -72,9 +75,9 @@ void BasicHdc::save_state(std::ostream& out) const {
 }
 
 void BasicHdc::load_state(std::istream& in) {
-  const auto fp = common::read_matrix(in, num_classes_, config_.dim);
-  const auto bin = common::read_bit_matrix(in, num_classes_, config_.dim);
-  am_.restore(fp, bin);
+  am_ = class_am(common::read_matrix(in, num_classes_, config_.dim));
+  am_.restore_binary(common::read_bit_matrix(in, num_classes_, config_.dim));
+  am_.freeze();
 }
 
 }  // namespace memhd::baselines

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/assert.hpp"
 #include "src/common/bitops_batch.hpp"
 #include "src/common/io.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/stats.hpp"
-#include "src/hdc/trainers.hpp"
+#include "src/hdc/bundling.hpp"
 
 namespace memhd::baselines {
 
@@ -47,19 +47,16 @@ void LeHdc::fit(const data::Dataset& train) {
 
   // Warm start from the single-pass class vectors, rescaled into the
   // clip box [-1, 1] (LeHDC initializes from the bundled prototypes).
-  {
-    hdc::AssociativeMemory warm(num_classes_, config_.dim);
-    hdc::train_single_pass(warm, encoded);
-    float max_abs = 1e-6f;
-    for (std::size_t c = 0; c < num_classes_; ++c)
-      for (const float v : warm.fp().row(c))
-        max_abs = std::max(max_abs, std::abs(v));
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      const auto src = warm.fp().row(c);
-      auto dst = weights_.row(c);
-      for (std::size_t j = 0; j < config_.dim; ++j) dst[j] = src[j] / max_abs;
-    }
-  }
+  weights_.fill(0.0f);
+  for (std::size_t i = 0; i < encoded.size(); ++i)
+    hdc::add_bipolar(weights_.row(encoded.labels[i]), encoded.hypervectors[i],
+                     1.0f);
+  float max_abs = 1e-6f;
+  for (std::size_t c = 0; c < num_classes_; ++c)
+    for (const float v : weights_.row(c))
+      max_abs = std::max(max_abs, std::abs(v));
+  for (std::size_t c = 0; c < num_classes_; ++c)
+    for (float& v : weights_.row(c)) v /= max_abs;
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(config_.dim));
   const std::size_t n = encoded.size();
@@ -142,36 +139,16 @@ void LeHdc::fit(const data::Dataset& train) {
   }
 }
 
-data::Label LeHdc::predict(const common::BitVector& query) const {
-  // Ranking by bipolar-weight x bipolar-query dot equals ranking by the
-  // {0,1} popcount dot against the sign bit-plane plus a query-dependent
-  // constant, so plain binary MVM search is used, as on the IMC array.
-  std::vector<std::uint32_t> scores;
-  binary_.mvm(query, scores);
-  std::size_t best = 0;
-  // Tie-break consistently with popcount correction: score' = 2*dot -
-  // popcount(row) (derivation: bipolar dot = 4*dot - 2pc(row) - 2pc(q) + D).
-  std::int64_t best_score = std::numeric_limits<std::int64_t>::min();
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    const auto pc = static_cast<std::int64_t>(
-        common::and_popcount(binary_.row(c), binary_.row(c),
-                             binary_.words_per_row()));
-    const std::int64_t s = 2 * static_cast<std::int64_t>(scores[c]) - pc;
-    if (s > best_score) {
-      best_score = s;
-      best = c;
-    }
-  }
-  return static_cast<data::Label>(best);
-}
-
 std::vector<data::Label> LeHdc::predict_batch(
     std::span<const common::BitVector> queries) const {
   std::vector<std::uint32_t> scores;
   common::blocked_popcount_scores(binary_, queries, common::PopcountOp::kAnd,
                                   scores);
-  // Row popcounts are query-independent; hoisted out of the query loop but
-  // identical to the per-call values predict() computes.
+  // Ranking by bipolar-weight x bipolar-query dot equals ranking by
+  // 2*dot - popcount(row) over the {0,1} sign bit-plane (bipolar dot =
+  // 4*dot - 2pc(row) - 2pc(q) + D, and pc(q) is constant per query), so
+  // the plain binary MVM of the IMC array suffices. Row popcounts are
+  // query-independent and hoisted out of the query loop.
   std::vector<std::int64_t> row_pc(num_classes_);
   for (std::size_t c = 0; c < num_classes_; ++c)
     row_pc[c] = static_cast<std::int64_t>(

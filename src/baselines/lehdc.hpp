@@ -17,7 +17,6 @@
 
 #include "src/baselines/baseline.hpp"
 #include "src/common/matrix.hpp"
-#include "src/hdc/associative_memory.hpp"
 #include "src/hdc/id_level_encoder.hpp"
 
 namespace memhd::baselines {
@@ -42,18 +41,17 @@ class LeHdc final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  /// Per-query inference on a pre-encoded query (valid after fit()).
-  data::Label predict(const common::BitVector& query) const override;
-
-  /// Batched inference over pre-encoded queries: blocked MVM plus the same
-  /// popcount tie-break correction as predict(). Bit-identical (asserted
-  /// by tests/baselines/test_lehdc.cpp).
+  /// Batched inference over pre-encoded queries: blocked AND-popcount MVM
+  /// ranked by the corrected score 2*dot - popcount(row), which orders
+  /// classes exactly as the bipolar dot sign(W) . bipolar(h) does (first
+  /// maximum wins).
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const override;
 
   std::size_t score_rows() const override { return num_classes_; }
-  /// Raw AND-popcount MVM scores (the tie-break correction of predict() is
-  /// a ranking refinement on top of these, not part of the raw table).
+  /// Raw AND-popcount MVM scores (the row-popcount correction of
+  /// predict_batch is a ranking refinement on top of these, not part of the
+  /// raw table).
   void scores_batch(std::span<const common::BitVector> queries,
                     std::vector<std::uint32_t>& out) const override;
 

@@ -1,7 +1,7 @@
 #include "src/baselines/quanthd.hpp"
 
 #include "src/common/io.hpp"
-#include "src/hdc/trainers.hpp"
+#include "src/core/qat_trainer.hpp"
 
 namespace memhd::baselines {
 
@@ -21,16 +21,22 @@ QuantHd::QuantHd(std::size_t num_features, std::size_t num_classes,
                  const BaselineConfig& config)
     : BaselineModel(config, num_features, num_classes),
       encoder_(make_encoder_config(num_features, config)),
-      am_(num_classes, config.dim) {}
+      am_(class_am(common::Matrix(num_classes, config.dim, 0.0f))) {}
 
 void QuantHd::fit(const data::Dataset& train) {
   const auto encoded = encoder_.encode_dataset(train);
-  hdc::train_single_pass(am_, encoded);
-  hdc::IterativeConfig ic;
-  ic.epochs = config_.epochs;
-  ic.learning_rate = config_.learning_rate;
-  ic.quantization_aware = true;  // the defining QuantHD property
-  hdc::train_iterative(am_, encoded, ic);
+  am_ = single_pass_am(encoded, num_classes_);
+  // Quantization-aware iterative learning (the defining QuantHD property):
+  // MEMHD's loop at one centroid per class, in sample order, without
+  // MEMHD's per-centroid normalization or best-epoch restore.
+  core::QatConfig qc;
+  qc.epochs = config_.epochs;
+  qc.learning_rate = config_.learning_rate;
+  qc.normalization = core::NormalizationMode::kNone;
+  qc.shuffle = false;
+  qc.keep_best = false;
+  core::train_qat(am_, encoded, /*eval=*/nullptr, qc);
+  am_.freeze();
 }
 
 common::BitVector QuantHd::encode(std::span<const float> features) const {
@@ -40,10 +46,6 @@ common::BitVector QuantHd::encode(std::span<const float> features) const {
 hdc::EncodedDataset QuantHd::encode_dataset(
     const data::Dataset& dataset) const {
   return encoder_.encode_dataset(dataset);
-}
-
-data::Label QuantHd::predict(const common::BitVector& query) const {
-  return am_.predict_binary(query);
 }
 
 std::vector<data::Label> QuantHd::predict_batch(
@@ -62,9 +64,9 @@ void QuantHd::save_state(std::ostream& out) const {
 }
 
 void QuantHd::load_state(std::istream& in) {
-  const auto fp = common::read_matrix(in, num_classes_, config_.dim);
-  const auto bin = common::read_bit_matrix(in, num_classes_, config_.dim);
-  am_.restore(fp, bin);
+  am_ = class_am(common::read_matrix(in, num_classes_, config_.dim));
+  am_.restore_binary(common::read_bit_matrix(in, num_classes_, config_.dim));
+  am_.freeze();
 }
 
 }  // namespace memhd::baselines

@@ -2,11 +2,15 @@
 // encoding + one class vector per class + quantization-aware iterative
 // learning — predictions during training come from the *binary* AM while
 // updates land on the FP shadow, which is re-binarized every epoch. MEMHD
-// §III-C generalizes exactly this scheme to multiple centroids per class.
+// §III-C generalizes exactly this scheme to multiple centroids per class,
+// so QuantHD is core::train_qat on a one-column-per-class
+// core::MultiCentroidAM (baselines::class_am) with no normalization, no
+// shuffling and no best-epoch restore. The AM is frozen after fit() and
+// load_state() so every search reads its packed plane.
 #pragma once
 
 #include "src/baselines/baseline.hpp"
-#include "src/hdc/associative_memory.hpp"
+#include "src/core/multi_centroid_am.hpp"
 #include "src/hdc/id_level_encoder.hpp"
 
 namespace memhd::baselines {
@@ -24,7 +28,6 @@ class QuantHd final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  data::Label predict(const common::BitVector& query) const override;
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const override;
   std::size_t score_rows() const override { return num_classes_; }
@@ -34,12 +37,12 @@ class QuantHd final : public BaselineModel {
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
 
-  const hdc::AssociativeMemory& am() const { return am_; }
+  const core::MultiCentroidAM& am() const { return am_; }
   const hdc::IdLevelEncoder& encoder() const { return encoder_; }
 
  private:
   hdc::IdLevelEncoder encoder_;
-  hdc::AssociativeMemory am_;
+  core::MultiCentroidAM am_;
 };
 
 }  // namespace memhd::baselines

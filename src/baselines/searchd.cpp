@@ -4,7 +4,6 @@
 #include "src/common/bitops_batch.hpp"
 #include "src/common/io.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/stats.hpp"
 
 namespace memhd::baselines {
 
@@ -90,17 +89,10 @@ void SearcHd::fit(const data::Dataset& train) {
   }
 }
 
-data::Label SearcHd::predict(const common::BitVector& query) const {
-  std::vector<std::uint32_t> scores;
-  models_.mvm(query, scores);
-  const std::size_t best = common::argmax_u32(scores);
-  return static_cast<data::Label>(best / config_.n_models);
-}
-
 std::vector<data::Label> SearcHd::predict_batch(
     std::span<const common::BitVector> queries) const {
   // Fused winner-take-all over all k*N model vectors, then map the winning
-  // row to its owning class (same first-wins argmax as predict()).
+  // row to its owning class.
   std::vector<std::uint32_t> best;
   common::blocked_dot_argmax(models_, queries, best);
   std::vector<data::Label> out(queries.size());

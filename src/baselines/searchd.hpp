@@ -36,12 +36,9 @@ class SearcHd final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  /// Per-query inference on a pre-encoded query (valid after fit()).
-  data::Label predict(const common::BitVector& query) const override;
-
-  /// Batched inference over pre-encoded queries: one blocked MVM over all
-  /// k*N model vectors per query block. Bit-identical to per-query search
-  /// (asserted by tests/baselines/test_searchd.cpp).
+  /// Batched inference over pre-encoded queries: one fused blocked
+  /// winner-take-all over all k*N model vectors; the first maximal row r
+  /// maps to class r / N.
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const override;
 

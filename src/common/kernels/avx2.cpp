@@ -135,15 +135,20 @@ void scores_block(const std::uint64_t* amt, std::size_t nrows,
                   std::size_t rpad, std::size_t nwords,
                   const std::uint64_t* const* queries, std::size_t q_begin,
                   std::size_t q_end, std::uint32_t* out) {
-  std::size_t q = q_begin;
-  for (; q + 2 <= q_end; q += 2) {
+  // A lone tail query rides the 2-query tile as its own twin, as in
+  // argmax_block: one tile walk of the word-major plane per 8 rows instead
+  // of a one-query walk per 4 rows. The twin's scores land in `sink`,
+  // never in `out`.
+  alignas(32) std::uint32_t sink[8];
+  for (std::size_t q = q_begin; q < q_end; q += 2) {
+    const bool pair = q + 1 < q_end;
     const std::uint64_t* qa = queries[q];
-    const std::uint64_t* qb = queries[q + 1];
+    const std::uint64_t* qb = queries[pair ? q + 1 : q];
     std::size_t g = 0;
     for (; g + 8 <= rpad; g += 8) {
       const Tile8x2 t = tile_scores_8x2<op>(amt + g, rpad, nwords, qa, qb);
       std::uint32_t* oa = out + q * nrows + g;
-      std::uint32_t* ob = out + (q + 1) * nrows + g;
+      std::uint32_t* ob = pair ? out + (q + 1) * nrows + g : sink;
       store_group(t.a00, oa, nrows - g);
       store_group(t.a01, oa + 4, nrows - g - 4);
       store_group(t.a10, ob, nrows - g);
@@ -152,16 +157,10 @@ void scores_block(const std::uint64_t* amt, std::size_t nrows,
     if (g < rpad) {  // one trailing 4-row group
       store_group(group_scores<op>(amt + g, rpad, nwords, qa),
                   out + q * nrows + g, nrows - g);
-      store_group(group_scores<op>(amt + g, rpad, nwords, qb),
-                  out + (q + 1) * nrows + g, nrows - g);
+      if (pair)
+        store_group(group_scores<op>(amt + g, rpad, nwords, qb),
+                    out + (q + 1) * nrows + g, nrows - g);
     }
-  }
-  // Remaining query: same vertical walk, one query at a time.
-  for (; q < q_end; ++q) {
-    const std::uint64_t* qw = queries[q];
-    for (std::size_t g = 0; g < rpad; g += 4)
-      store_group(group_scores<op>(amt + g, rpad, nwords, qw),
-                  out + q * nrows + g, nrows - g);
   }
 }
 

@@ -45,12 +45,20 @@ void scores_block(const std::uint64_t* amt, std::size_t nrows,
                   std::size_t rpad, std::size_t nwords,
                   const std::uint64_t* const* queries, std::size_t q_begin,
                   std::size_t q_end, std::uint32_t* out) {
-  std::size_t q = q_begin;
-  for (; q + 4 <= q_end; q += 4) {
+  // A tail of 1-3 queries rides the 4-query tile with its last query
+  // repeated, as in argmax_block: one tile walk of the word-major plane per
+  // 16 rows beats a one-query walk per 8 rows (see README.md). The copies'
+  // scores land in `sink`, never in `out`.
+  alignas(64) std::uint32_t sink[16];
+  for (std::size_t q = q_begin; q < q_end; q += 4) {
+    const std::size_t n = std::min<std::size_t>(4, q_end - q);
     const std::uint64_t* q0 = queries[q];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
+    const std::uint64_t* q1 = queries[q + std::min<std::size_t>(1, n - 1)];
+    const std::uint64_t* q2 = queries[q + std::min<std::size_t>(2, n - 1)];
+    const std::uint64_t* q3 = queries[q + std::min<std::size_t>(3, n - 1)];
+    const auto dst = [&](std::size_t k, std::size_t g) {
+      return k < n ? out + (q + k) * nrows + g : sink;
+    };
     std::size_t g = 0;
     // Hot loop: full 16-row tiles. The 4-query x 2-group tile is unrolled
     // into named accumulators on purpose — with an accumulator array and an
@@ -78,10 +86,10 @@ void scores_block(const std::uint64_t* amt, std::size_t nrows,
         a30 = _mm512_add_epi64(a30, _mm512_popcnt_epi64(combine512<op>(b3, m0)));
         a31 = _mm512_add_epi64(a31, _mm512_popcnt_epi64(combine512<op>(b3, m1)));
       }
-      std::uint32_t* o0 = out + q * nrows + g;
-      std::uint32_t* o1 = out + (q + 1) * nrows + g;
-      std::uint32_t* o2 = out + (q + 2) * nrows + g;
-      std::uint32_t* o3 = out + (q + 3) * nrows + g;
+      std::uint32_t* o0 = dst(0, g);
+      std::uint32_t* o1 = dst(1, g);
+      std::uint32_t* o2 = dst(2, g);
+      std::uint32_t* o3 = dst(3, g);
       store_group(a00, o0, nrows - g);
       store_group(a01, o0 + 8, nrows - g - 8);
       store_group(a10, o1, nrows - g);
@@ -110,24 +118,10 @@ void scores_block(const std::uint64_t* amt, std::size_t nrows,
             a3, _mm512_popcnt_epi64(combine512<op>(
                     _mm512_set1_epi64(static_cast<long long>(q3[w])), m0)));
       }
-      store_group(a0, out + q * nrows + g, nrows - g);
-      store_group(a1, out + (q + 1) * nrows + g, nrows - g);
-      store_group(a2, out + (q + 2) * nrows + g, nrows - g);
-      store_group(a3, out + (q + 3) * nrows + g, nrows - g);
-    }
-  }
-  // Remaining 1-3 queries: same vertical walk, one query at a time.
-  for (; q < q_end; ++q) {
-    const std::uint64_t* qw = queries[q];
-    for (std::size_t g = 0; g < rpad; g += 8) {
-      __m512i acc = _mm512_setzero_si512();
-      const std::uint64_t* base = amt + g;
-      for (std::size_t w = 0; w < nwords; ++w, base += rpad) {
-        const __m512i bq = _mm512_set1_epi64(static_cast<long long>(qw[w]));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(combine512<op>(
-                                        bq, _mm512_loadu_si512(base))));
-      }
-      store_group(acc, out + q * nrows + g, nrows - g);
+      store_group(a0, dst(0, g), nrows - g);
+      store_group(a1, dst(1, g), nrows - g);
+      store_group(a2, dst(2, g), nrows - g);
+      store_group(a3, dst(3, g), nrows - g);
     }
   }
 }

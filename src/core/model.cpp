@@ -5,7 +5,7 @@
 #include "src/common/assert.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/serialize.hpp"
-#include "src/hdc/associative_memory.hpp"
+#include "src/hdc/bundling.hpp"
 
 namespace memhd::core {
 

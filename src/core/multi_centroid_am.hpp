@@ -5,9 +5,10 @@
 // AM is stored centroid-major (C rows of D bits / floats) — the transpose of
 // the physical array layout — because associative search iterates centroids.
 //
-// Like the single-centroid AM, the structure pairs an FP shadow matrix
-// (updated by quantization-aware training) with a packed binary matrix
-// (used for search and for programming the IMC array).
+// At one column per class it is the single-centroid AM of the BasicHDC and
+// QuantHD baselines (baselines::class_am). The structure pairs an FP shadow
+// matrix (updated by quantization-aware training) with a packed binary
+// matrix (used for search and for programming the IMC array).
 //
 // The search plane. Once training settles, freeze() packs the binary matrix
 // into an immutable common::BatchScorer — the software analogue of

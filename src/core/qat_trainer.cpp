@@ -3,7 +3,7 @@
 #include "src/common/assert.hpp"
 #include "src/common/bitops_batch.hpp"
 #include "src/common/rng.hpp"
-#include "src/hdc/associative_memory.hpp"  // add_bipolar
+#include "src/hdc/bundling.hpp"  // add_bipolar
 
 namespace memhd::core {
 

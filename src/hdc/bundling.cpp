@@ -34,6 +34,18 @@ void BundleAccumulator::reset() {
   total_weight_ = 0.0;
 }
 
+void add_bipolar(std::span<float> row, const common::BitVector& hv,
+                 float weight) {
+  MEMHD_EXPECTS(row.size() == hv.size());
+  const std::uint64_t* words = hv.words();
+  const std::size_t n = hv.size();
+  for (std::size_t j = 0; j < n; ++j) {
+    const bool bit = (words[j / common::kBitsPerWord] >>
+                      (j % common::kBitsPerWord)) & 1ULL;
+    row[j] += bit ? weight : -weight;
+  }
+}
+
 common::BitVector bundle_majority(
     const std::vector<common::BitVector>& hvs) {
   MEMHD_EXPECTS(!hvs.empty());

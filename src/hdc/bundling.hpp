@@ -5,10 +5,13 @@
 // ID-Level encoder bundles f bound vectors per sample; single-pass AM
 // training bundles all samples of a class. This header exposes the
 // operation as a reusable, incrementally-updatable accumulator so library
-// users can build their own encoders and class vectors.
+// users can build their own encoders and class vectors. add_bipolar is the
+// FP form every trainer shares: it adds one bipolar sample into a float
+// class vector.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/bit_vector.hpp"
@@ -44,6 +47,11 @@ class BundleAccumulator {
   std::vector<double> counts_;
   double total_weight_ = 0.0;
 };
+
+/// Adds the bipolar interpretation of hv (bit -> +/-1) times `weight` into a
+/// float row. Shared by all trainers (including MEMHD's).
+void add_bipolar(std::span<float> row, const common::BitVector& hv,
+                 float weight);
 
 /// One-shot majority bundle of a set of equal-dimension hypervectors.
 /// Requires a non-empty set.

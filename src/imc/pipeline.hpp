@@ -27,7 +27,6 @@
 #include "src/common/bit_vector.hpp"
 #include "src/core/multi_centroid_am.hpp"
 #include "src/data/dataset.hpp"
-#include "src/hdc/associative_memory.hpp"
 #include "src/hdc/projection_encoder.hpp"
 #include "src/imc/imc_array.hpp"
 #include "src/imc/mapping.hpp"

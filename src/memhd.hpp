@@ -65,16 +65,17 @@
 //       bit-sampled prescreen plane + exact shortlist rescore
 //       (BatchScorer::scores_rows), with a certified exact mode and an
 //       approximate threshold mode (ModelOptions::cascade* knobs).
-//   core::MultiCentroidAM::scores_batch / predict_batch
-//   hdc::AssociativeMemory::scores_batch / predict_batch
+//   core::MultiCentroidAM::scores_batch / predict_batch  (also the
+//       one-column-per-class AM of BasicHDC and QuantHD)
 //   hdc::ProjectionEncoder::encode_batch        (sample-blocked matmul)
 //   core::MemhdModel::predict_batch             (encode + search pipeline)
 //   imc::PartitionedAm::scores_batch / predict_batch
 //   baselines::*::predict_batch / scores_batch  (all four, via the base
 //       BaselineModel contract the api:: adapters drive)
 //
-// The per-query entry points remain and are thin equivalents; evaluation
-// loops and the QAT trainer route through the batch engine internally.
+// The models' per-query predict() entry points are one-row calls of their
+// batch paths; evaluation loops and the QAT trainer route through the
+// batch engine internally.
 // MEMHD_NUM_THREADS caps the worker pool used for query-block parallelism.
 //
 // Models that need more than the generic contract (MEMHD's online update()
@@ -122,7 +123,6 @@
 #include "src/search/cascade.hpp"
 
 // HDC toolbox
-#include "src/hdc/associative_memory.hpp"
 #include "src/hdc/binding.hpp"
 #include "src/hdc/bundling.hpp"
 #include "src/hdc/encoded_dataset.hpp"
@@ -131,7 +131,6 @@
 #include "src/hdc/projection_encoder.hpp"
 #include "src/hdc/record_encoder.hpp"
 #include "src/hdc/similarity.hpp"
-#include "src/hdc/trainers.hpp"
 
 // Baselines
 #include "src/baselines/baseline.hpp"

@@ -74,5 +74,20 @@ TEST(BasicHdc, HigherDimensionHelpsOrMatches) {
   EXPECT_GE(b.evaluate(split.test) + 0.05, a.evaluate(split.test));
 }
 
+TEST(BasicHdc, FpRefinementLearnsMultiModalTask) {
+  // epochs > 0 runs classic FP iterative HDC: predictions from the FP
+  // shadow, binarized once at the end.
+  const auto split = testing::tiny_multimodal(/*seed=*/5);
+  auto cfg = small_config();
+  BasicHdc single(split.train.num_features(), split.train.num_classes(), cfg);
+  single.fit(split.train);
+  cfg.epochs = 10;
+  BasicHdc model(split.train.num_features(), split.train.num_classes(), cfg);
+  model.fit(split.train);
+  EXPECT_GT(model.evaluate(split.train), 0.7);
+  EXPECT_FALSE(model.am().fp() == single.am().fp());  // updates were applied
+  EXPECT_TRUE(model.am().frozen());
+}
+
 }  // namespace
 }  // namespace memhd::baselines

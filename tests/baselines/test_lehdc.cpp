@@ -68,10 +68,11 @@ TEST(LeHdc, BnnTrainingBeatsWarmStartOnTrain) {
   EXPECT_GE(trained.evaluate(split.train), base - 0.02);
 }
 
-TEST(LeHdc, BatchPredictBitIdenticalToPerQuery) {
-  // The batch path duplicates the corrected-argmax (2*dot - popcount(row))
-  // logic; this pins the two implementations together, including on the
-  // tie-heavy regime of random queries far from every class vector.
+TEST(LeHdc, BatchPredictMatchesBipolarDotOracle) {
+  // The batch path ranks by the corrected popcount score 2*dot - pc(row);
+  // the oracle is the definition: the first maximal bipolar dot
+  // sign(W) . bipolar(h), including on the tie-heavy regime of random
+  // queries far from every class vector.
   const auto split = testing::tiny_separable(23);
   LeHdc model(split.train.num_features(), split.train.num_classes(),
               small_config());
@@ -84,8 +85,22 @@ TEST(LeHdc, BatchPredictBitIdenticalToPerQuery) {
 
   const auto batch = model.predict_batch(queries);
   ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    ASSERT_EQ(batch[q], model.predict(queries[q])) << "q=" << q;
+  const auto& w = model.binary_weights();
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    std::size_t best = 0;
+    long best_dot = 0;
+    for (std::size_t c = 0; c < w.rows(); ++c) {
+      long dot = 0;
+      for (std::size_t j = 0; j < model.dim(); ++j)
+        dot += (w.get(c, j) == queries[q].get(j)) ? 1 : -1;
+      if (c == 0 || dot > best_dot) {
+        best_dot = dot;
+        best = c;
+      }
+    }
+    ASSERT_EQ(batch[q], best) << "q=" << q;
+    ASSERT_EQ(model.predict(queries[q]), best) << "q=" << q;
+  }
 }
 
 TEST(LeHdc, FactoryBuildsItAndRejectsMemhd) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
+#include "src/common/stats.hpp"
 #include "test_util.hpp"
 
 namespace memhd::baselines {
@@ -71,7 +72,9 @@ TEST(SearcHd, MultiModelBeatsSingleModelOnMultiModalData) {
   EXPECT_GE(acc8 + 0.05, acc1);
 }
 
-TEST(SearcHd, BatchPredictBitIdenticalToPerQuery) {
+// Independent oracle: the scalar MVM over all k*N rows, its first-wins
+// argmax, and the owning class row / N.
+TEST(SearcHd, BatchPredictMatchesScalarMvmOracle) {
   const auto split = testing::tiny_separable(29);
   auto cfg = small_config();
   cfg.n_models = 4;
@@ -85,8 +88,15 @@ TEST(SearcHd, BatchPredictBitIdenticalToPerQuery) {
 
   const auto batch = model.predict_batch(queries);
   ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    ASSERT_EQ(batch[q], model.predict(queries[q])) << "q=" << q;
+  std::vector<std::uint32_t> scores;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    model.models().mvm(queries[q], scores);
+    ASSERT_EQ(scores.size(), model.score_rows());
+    const auto want =
+        static_cast<data::Label>(common::argmax_u32(scores) / cfg.n_models);
+    ASSERT_EQ(batch[q], want) << "q=" << q;
+    ASSERT_EQ(model.predict(queries[q]), want) << "q=" << q;
+  }
 }
 
 TEST(SearcHd, FactoryBuildsIt) {

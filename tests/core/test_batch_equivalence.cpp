@@ -7,7 +7,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/initializer.hpp"
 #include "src/core/qat_trainer.hpp"
-#include "src/hdc/associative_memory.hpp"  // add_bipolar
+#include "src/hdc/bundling.hpp"  // add_bipolar
 #include "test_util.hpp"
 
 namespace memhd::core {

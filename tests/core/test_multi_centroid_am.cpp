@@ -138,6 +138,44 @@ TEST(MultiCentroidAM, RestoreBinarySnapshot) {
   EXPECT_TRUE(am.binary() == snapshot);
 }
 
+TEST(MultiCentroidAM, ScoresFpEqualsNaiveBipolarDot) {
+  Rng rng(3);
+  MultiCentroidAM am(3, 64, 3);
+  std::vector<float> row(64);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (auto& v : row) v = static_cast<float>(rng.normal());
+    am.set_centroid(c, static_cast<data::Label>(c), row);
+  }
+  const auto q = BitVector::random(64, rng);
+  std::vector<float> scores;
+  am.scores_fp(q, scores);
+  ASSERT_EQ(scores.size(), 3u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    float naive = 0.0f;
+    for (std::size_t j = 0; j < 64; ++j)
+      naive += am.fp()(c, j) * (q.get(j) ? 1.0f : -1.0f);
+    EXPECT_NEAR(scores[c], naive, 1e-3f);
+  }
+}
+
+TEST(MultiCentroidAM, ScoresBinaryIsPopcountDot) {
+  Rng rng(4);
+  MultiCentroidAM am(2, 128, 2);
+  std::vector<float> even(128, -1.0f), fourth(128, -1.0f);
+  for (std::size_t j = 0; j < 128; j += 2) even[j] = 1.0f;
+  for (std::size_t j = 0; j < 128; j += 4) fourth[j] = 1.0f;
+  am.set_centroid(0, 0, even);
+  am.set_centroid(1, 1, fourth);
+  am.binarize();
+  const auto q = BitVector::random(128, rng);
+  std::vector<std::uint32_t> scores;
+  am.scores_binary(q, scores);
+  EXPECT_EQ(scores[0], am.binary().row_vector(0).dot(q));
+  EXPECT_EQ(scores[1], am.binary().row_vector(1).dot(q));
+  EXPECT_EQ(am.binary().row_vector(0).popcount(), 64u);
+  EXPECT_EQ(am.binary().row_vector(1).popcount(), 32u);
+}
+
 TEST(MultiCentroidAM, MemoryBitsIsCxD) {
   MultiCentroidAM am(10, 128, 128);
   EXPECT_EQ(am.memory_bits(), 128u * 128u);
@@ -208,6 +246,20 @@ TEST(MultiCentroidAM, EvaluateOnClusteredData) {
   am.binarize();
   EXPECT_GT(evaluate_binary(am, data), 0.5);
   EXPECT_GT(evaluate_fp(am, data), 0.5);
+}
+
+TEST(MultiCentroidAM, EvaluateEmptySetYieldsZero) {
+  MultiCentroidAM am(2, 64, 2);
+  am.set_centroid(0, 0, constant_row(64, 1.0f));
+  am.set_centroid(1, 1, constant_row(64, -1.0f));
+  am.binarize();
+  hdc::EncodedDataset empty;
+  empty.dim = 64;
+  empty.num_classes = 2;
+  EXPECT_EQ(evaluate_binary(am, empty), 0.0);
+  EXPECT_EQ(evaluate_fp(am, empty), 0.0);
+  am.freeze();
+  EXPECT_EQ(evaluate_binary(am, empty), 0.0);
 }
 
 }  // namespace

@@ -1,65 +1,13 @@
-// Batch-vs-scalar equivalence at the hdc layer: single-centroid AM search
-// and the blocked projection-encoder batch path.
+// Batch-vs-scalar equivalence at the hdc layer: the blocked
+// projection-encoder batch path.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
-#include "src/common/stats.hpp"
 #include "src/hdc/projection_encoder.hpp"
-#include "src/hdc/trainers.hpp"
 #include "test_util.hpp"
 
 namespace memhd::hdc {
 namespace {
-
-AssociativeMemory make_trained_am(const EncodedDataset& train,
-                                  std::size_t dim) {
-  AssociativeMemory am(train.num_classes, dim);
-  train_single_pass(am, train);
-  return am;
-}
-
-TEST(AssociativeMemoryBatch, ScoresAndPredictionsMatchScalarPath) {
-  for (const std::size_t dim : {65UL, 128UL, 257UL}) {
-    const auto train = testing::clustered_encoded(25, dim, 5, 2, dim / 20, 7);
-    const auto am = make_trained_am(train, dim);
-    const auto queries =
-        testing::random_encoded(50, dim, 5, dim).hypervectors;
-
-    std::vector<std::uint32_t> batch;
-    am.scores_batch(queries, batch);
-    std::vector<std::uint32_t> single;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      am.scores_binary(queries[q], single);
-      for (std::size_t c = 0; c < am.num_classes(); ++c)
-        ASSERT_EQ(batch[q * am.num_classes() + c], single[c])
-            << "dim=" << dim << " q=" << q;
-    }
-
-    const auto predicted = am.predict_batch(queries);
-    for (std::size_t q = 0; q < queries.size(); ++q)
-      ASSERT_EQ(predicted[q], am.predict_binary(queries[q]))
-          << "dim=" << dim << " q=" << q;
-  }
-}
-
-TEST(AssociativeMemoryBatch, EvaluateBinaryMatchesPerQueryLoop) {
-  const std::size_t dim = 127;
-  const auto train = testing::clustered_encoded(30, dim, 4, 2, 5, 11);
-  const auto test = testing::clustered_encoded(20, dim, 4, 2, 5, 12);
-  const auto am = make_trained_am(train, dim);
-
-  std::size_t correct = 0;
-  std::vector<std::uint32_t> scores;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    am.scores_binary(test.hypervectors[i], scores);
-    if (static_cast<data::Label>(common::argmax_u32(scores)) ==
-        test.labels[i])
-      ++correct;
-  }
-  EXPECT_DOUBLE_EQ(
-      evaluate_binary(am, test),
-      static_cast<double>(correct) / static_cast<double>(test.size()));
-}
 
 // The blocked batch encoder must produce bit-identical hypervectors to the
 // per-sample path: it issues the same common::dot calls per (dim, sample)

@@ -11,6 +11,19 @@ namespace {
 using common::BitVector;
 using common::Rng;
 
+TEST(AddBipolar, WeightSign) {
+  std::vector<float> row(3, 0.0f);
+  const auto hv = BitVector::from_bools({true, false, true});
+  add_bipolar(row, hv, -2.0f);
+  EXPECT_FLOAT_EQ(row[0], -2.0f);
+  EXPECT_FLOAT_EQ(row[1], 2.0f);
+  EXPECT_FLOAT_EQ(row[2], -2.0f);
+  add_bipolar(row, hv, 0.5f);
+  EXPECT_FLOAT_EQ(row[0], -1.5f);
+  EXPECT_FLOAT_EQ(row[1], 1.5f);
+  EXPECT_FLOAT_EQ(row[2], -1.5f);
+}
+
 TEST(Bundling, MajorityOfThreeVectors) {
   const auto a = BitVector::from_bools({1, 1, 0, 0});
   const auto b = BitVector::from_bools({1, 0, 1, 0});

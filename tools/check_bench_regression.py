@@ -73,7 +73,10 @@ The gate:
     gate it);
   * skips with a notice any section whose recorded per-section "backend"
     differs between the current run and the baseline (sections record the
-    backend active while they were measured).
+    backend active while they were measured);
+  * FAILS when the record's "threads" differs from the baseline's: the
+    committed baselines were recorded at threads=1, so CI runs the bench
+    with MEMHD_NUM_THREADS=1.
 
 --update rewrites the baseline for the current kernel from CURRENT_JSON
 (use after an intentional perf change, then commit the file). Committed
@@ -408,8 +411,19 @@ def main():
               f"than gating against another backend's numbers. "
               f"Committed baselines: {known or 'none'}. "
               f"Create one with --update.")
+    elif (current.get("threads") !=
+          (baseline := load(baseline_path)).get("threads")):
+        # Throughput scales with the pool size (and partitioned_search even
+        # inverts), so a record is only comparable to a baseline taken at
+        # the same thread count. A mismatch is a misconfigured gate, not a
+        # section to skip: run the bench with MEMHD_NUM_THREADS set to the
+        # baseline's count.
+        failures.append(
+            f"record measured at threads={current.get('threads')} but "
+            f"{baseline_path} was recorded at threads="
+            f"{baseline.get('threads')}; rerun with "
+            f"MEMHD_NUM_THREADS matching the baseline")
     else:
-        baseline = load(baseline_path)
         common = [n for n in sections(baseline) if n in sections(current)]
         for name in sections(baseline):
             if name not in sections(current):
