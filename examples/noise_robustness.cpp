@@ -4,8 +4,9 @@
 // Trains a 128x128 model, then reports accuracy while (a) corrupting a
 // growing fraction of the stored AM cells and (b) shrinking the readout
 // ADC — the two dominant non-idealities of real CIM macros. Closes with the
-// online-repair story: after corruption, a handful of update() calls on
-// streaming labeled samples recovers most of the loss.
+// online-repair story: after corruption, one-sample partial_fit() calls on
+// streaming labeled samples recover most of the loss.
+#include <algorithm>
 #include <cstdio>
 
 #include "src/common/cli.hpp"
@@ -82,11 +83,16 @@ int main(int argc, char** argv) {
   // (c) Online repair: corrupt the deployed model's own FP->binary state
   //     indirectly by streaming updates after simulated drift. Here we
   //     stream the first chunk of the test set as labeled data.
-  std::printf("\n-- online repair with update() on streaming samples --\n");
+  std::printf("\n-- online repair with one-sample partial_fit() --\n");
   std::size_t applied = 0;
   const std::size_t stream = split.test.size() / 2;
-  for (std::size_t i = 0; i < stream; ++i)
-    if (model.update(split.test.sample(i), split.test.label(i))) ++applied;
+  common::Matrix one(1, split.test.num_features());
+  for (std::size_t i = 0; i < stream; ++i) {
+    const auto sample = split.test.sample(i);
+    std::copy(sample.begin(), sample.end(), one.row(0).begin());
+    const data::Label label = split.test.label(i);
+    applied += model.partial_fit(one, std::span(&label, 1)).mispredicted;
+  }
   std::printf("streamed %zu labeled samples, %zu updates applied\n", stream,
               applied);
   std::printf("accuracy on held-back half after adaptation: %.2f%%\n",

@@ -186,11 +186,12 @@ std::unique_ptr<BaselineClassifier> BaselineClassifier::load_payload(
 
   // Corrupted frames must surface as the documented std::runtime_error, not
   // as contract aborts (or absurd allocations) further down. The 2^24 cap
-  // is far above any real shape and far below allocation-bomb territory.
+  // is far above any real shape and far below allocation-bomb territory;
+  // class ids must also fit data::Label.
   constexpr std::uint64_t kShapeCap = 1ULL << 24;
   const bool sane = cfg.dim >= 1 && cfg.dim <= kShapeCap &&
                     num_features >= 1 && num_features <= kShapeCap &&
-                    num_classes >= 2 && num_classes <= kShapeCap &&
+                    num_classes >= 2 && num_classes <= data::kMaxClasses &&
                     cfg.num_levels >= 1 && cfg.num_levels <= kShapeCap &&
                     cfg.n_models >= 1 && cfg.n_models <= kShapeCap;
   if (!sane)

@@ -70,8 +70,8 @@ class MemhdClassifier final : public Classifier {
   core::MemoryBreakdown memory() const override;
   void save_payload(std::ostream& out) const override;
 
-  /// The wrapped model, for surfaces beyond the generic contract (online
-  /// update(), adapt(), the IMC deployment pipeline's encoder()/am()).
+  /// The wrapped model, for surfaces beyond the generic contract (adapt(),
+  /// the IMC deployment pipeline's encoder()/am()).
   core::MemhdModel& model() { return model_; }
   const core::MemhdModel& model() const { return model_; }
 

@@ -8,8 +8,9 @@
 // scheme, which is exactly what the virtuals below capture. BasicHDC and
 // QuantHD keep one class vector per class: a core::MultiCentroidAM with
 // one column per class (class_am below), searched through its frozen
-// plane. SearcHD and LeHDC score their own bit matrices with the blocked
-// kernels (src/common/bitops_batch.hpp). The batch-first surface
+// plane. SearcHD and LeHDC keep their own bit matrices and pack each into a
+// common::BatchScorer plane whenever it settles (construction, fit,
+// load_state), so no query batch repacks a matrix. The batch-first surface
 // (encode_batch / predict_batch / scores_batch) is what the api::Classifier
 // adapters drive; the one-query predict() is a one-row call of
 // predict_batch, so the two cannot disagree.
@@ -81,8 +82,8 @@ class BaselineModel {
   /// one-row call of predict_batch.
   data::Label predict(const common::BitVector& query) const;
 
-  /// Batched inference over pre-encoded queries through the blocked
-  /// winner-take-all kernel.
+  /// Batched inference over pre-encoded queries through the model's packed
+  /// search plane.
   virtual std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const = 0;
 

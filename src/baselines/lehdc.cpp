@@ -31,6 +31,16 @@ LeHdc::LeHdc(std::size_t num_features, std::size_t num_classes,
       weights_(num_classes, config.dim, 0.0f),
       binary_(num_classes, config.dim) {
   hyper_.learning_rate = config.learning_rate;
+  freeze();
+}
+
+void LeHdc::freeze() {
+  plane_ = std::make_shared<const common::BatchScorer>(binary_);
+  row_pc_.resize(num_classes_);
+  for (std::size_t c = 0; c < num_classes_; ++c)
+    row_pc_[c] = static_cast<std::int64_t>(
+        common::and_popcount(binary_.row(c), binary_.row(c),
+                             binary_.words_per_row()));
 }
 
 common::BitVector LeHdc::encode(std::span<const float> features) const {
@@ -137,23 +147,18 @@ void LeHdc::fit(const data::Dataset& train) {
       refresh_binary();
     }
   }
+  freeze();
 }
 
 std::vector<data::Label> LeHdc::predict_batch(
     std::span<const common::BitVector> queries) const {
   std::vector<std::uint32_t> scores;
-  common::blocked_popcount_scores(binary_, queries, common::PopcountOp::kAnd,
-                                  scores);
+  plane_->scores(queries, common::PopcountOp::kAnd, scores);
   // Ranking by bipolar-weight x bipolar-query dot equals ranking by
   // 2*dot - popcount(row) over the {0,1} sign bit-plane (bipolar dot =
   // 4*dot - 2pc(row) - 2pc(q) + D, and pc(q) is constant per query), so
   // the plain binary MVM of the IMC array suffices. Row popcounts are
-  // query-independent and hoisted out of the query loop.
-  std::vector<std::int64_t> row_pc(num_classes_);
-  for (std::size_t c = 0; c < num_classes_; ++c)
-    row_pc[c] = static_cast<std::int64_t>(
-        common::and_popcount(binary_.row(c), binary_.row(c),
-                             binary_.words_per_row()));
+  // query-independent and counted once, by freeze().
 
   std::vector<data::Label> out(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -162,7 +167,7 @@ std::vector<data::Label> LeHdc::predict_batch(
     std::int64_t best_score = std::numeric_limits<std::int64_t>::min();
     for (std::size_t c = 0; c < num_classes_; ++c) {
       const std::int64_t corrected =
-          2 * static_cast<std::int64_t>(s[c]) - row_pc[c];
+          2 * static_cast<std::int64_t>(s[c]) - row_pc_[c];
       if (corrected > best_score) {
         best_score = corrected;
         best = c;
@@ -175,8 +180,7 @@ std::vector<data::Label> LeHdc::predict_batch(
 
 void LeHdc::scores_batch(std::span<const common::BitVector> queries,
                          std::vector<std::uint32_t>& out) const {
-  common::blocked_popcount_scores(binary_, queries, common::PopcountOp::kAnd,
-                                  out);
+  plane_->scores(queries, common::PopcountOp::kAnd, out);
 }
 
 void LeHdc::save_state(std::ostream& out) const {
@@ -196,6 +200,7 @@ void LeHdc::load_state(std::istream& in) {
       static_cast<std::size_t>(common::read_pod<std::uint64_t>(in));
   weights_ = common::read_matrix(in, num_classes_, config_.dim);
   binary_ = common::read_bit_matrix(in, num_classes_, config_.dim);
+  freeze();
 }
 
 }  // namespace memhd::baselines

@@ -9,9 +9,13 @@
 //             estimator with the usual |w| <= 1 clip.
 //
 // Deployment binarizes W once; inference is the same binary MVM dot search
-// as every other baseline.
+// as every other baseline, through a packed search plane (plus the row
+// popcounts of the ranking correction) built whenever the binary weights
+// settle: construction, fit, load_state.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,10 +45,10 @@ class LeHdc final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  /// Batched inference over pre-encoded queries: blocked AND-popcount MVM
-  /// ranked by the corrected score 2*dot - popcount(row), which orders
-  /// classes exactly as the bipolar dot sign(W) . bipolar(h) does (first
-  /// maximum wins).
+  /// Batched inference over pre-encoded queries: AND-popcount MVM over the
+  /// packed plane, ranked by the corrected score 2*dot - popcount(row),
+  /// which orders classes exactly as the bipolar dot sign(W) . bipolar(h)
+  /// does (first maximum wins).
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const override;
 
@@ -65,10 +69,16 @@ class LeHdc final : public BaselineModel {
   const common::Matrix& latent_weights() const { return weights_; }
 
  private:
+  /// Packs binary_ into plane_ and recounts row_pc_; called wherever
+  /// binary_ settles.
+  void freeze();
+
   hdc::IdLevelEncoder encoder_;
   LeHdcHyperParams hyper_;
   common::Matrix weights_;     // latent FP weights, clipped to [-1, 1]
   common::BitMatrix binary_;   // sign(weights), refreshed during training
+  std::shared_ptr<const common::BatchScorer> plane_;  // packed binary_
+  std::vector<std::int64_t> row_pc_;  // popcount of each row of binary_
 };
 
 }  // namespace memhd::baselines

@@ -25,6 +25,11 @@ SearcHd::SearcHd(std::size_t num_features, std::size_t num_classes,
       encoder_(make_encoder_config(num_features, config)),
       models_(num_classes * config.n_models, config.dim) {
   MEMHD_EXPECTS(config.n_models >= 1);
+  freeze();
+}
+
+void SearcHd::freeze() {
+  plane_ = std::make_shared<const common::BatchScorer>(models_);
 }
 
 common::BitVector SearcHd::encode(std::span<const float> features) const {
@@ -87,6 +92,7 @@ void SearcHd::fit(const data::Dataset& train) {
         models_.set(row, b, hb);
     }
   }
+  freeze();
 }
 
 std::vector<data::Label> SearcHd::predict_batch(
@@ -94,7 +100,7 @@ std::vector<data::Label> SearcHd::predict_batch(
   // Fused winner-take-all over all k*N model vectors, then map the winning
   // row to its owning class.
   std::vector<std::uint32_t> best;
-  common::blocked_dot_argmax(models_, queries, best);
+  plane_->dot_argmax(queries, best);
   std::vector<data::Label> out(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q)
     out[q] = static_cast<data::Label>(best[q] / config_.n_models);
@@ -103,8 +109,7 @@ std::vector<data::Label> SearcHd::predict_batch(
 
 void SearcHd::scores_batch(std::span<const common::BitVector> queries,
                            std::vector<std::uint32_t>& out) const {
-  common::blocked_popcount_scores(models_, queries, common::PopcountOp::kAnd,
-                                  out);
+  plane_->scores(queries, common::PopcountOp::kAnd, out);
 }
 
 void SearcHd::save_state(std::ostream& out) const {
@@ -116,6 +121,7 @@ void SearcHd::load_state(std::istream& in) {
   flip_rate_ = common::read_pod<double>(in);
   models_ = common::read_bit_matrix(in, num_classes_ * config_.n_models,
                                     config_.dim);
+  freeze();
 }
 
 }  // namespace memhd::baselines

@@ -10,9 +10,12 @@
 // There is no FP shadow and no iterative refinement; that is exactly the
 // accuracy gap MEMHD's clustering + QAT closes.
 //
-// Inference: argmax of binary dot similarity over all k*N vectors.
+// Inference: argmax of binary dot similarity over all k*N vectors, through a
+// packed search plane built whenever the model matrix settles (construction,
+// fit, load_state) and shared by copies.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,9 +39,9 @@ class SearcHd final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  /// Batched inference over pre-encoded queries: one fused blocked
-  /// winner-take-all over all k*N model vectors; the first maximal row r
-  /// maps to class r / N.
+  /// Batched inference over pre-encoded queries: one fused winner-take-all
+  /// over all k*N model vectors of the packed plane; the first maximal row
+  /// r maps to class r / N.
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const override;
 
@@ -62,9 +65,12 @@ class SearcHd final : public BaselineModel {
 
  private:
   std::size_t row_of(std::size_t c, std::size_t j) const;
+  /// Packs models_ into plane_; called wherever models_ settles.
+  void freeze();
 
   hdc::IdLevelEncoder encoder_;
   common::BitMatrix models_;  // (k * N) x D
+  std::shared_ptr<const common::BatchScorer> plane_;  // packed models_
   double flip_rate_ = 0.25;
 };
 

@@ -1,5 +1,5 @@
-// Dispatch glue over the kernel-backend registry: blocks the query batch,
-// hands each block to the active (or pinned) backend's function table, and
+// BatchScorer: packs the row matrix once for its pinned backend, then blocks
+// each query batch, hands every block to that backend's function table, and
 // supplies the generic scores-then-argmax_u32 fallback for backends without
 // a fused argmax. All kernel code lives under src/common/kernels/.
 #include "src/common/bitops_batch.hpp"
@@ -18,21 +18,13 @@ namespace {
 // output cache lines.
 constexpr std::size_t kQueryBlock = 32;
 
-// The backend's lane_rows is the single source of its repack geometry:
-// lane width 1 means row-major (no repack), anything wider gets the
-// word-major layout padded to that width.
-std::size_t repack_rows(const KernelBackend& backend, const BitMatrix& rows,
-                        std::vector<std::uint64_t>& packed) {
-  if (backend.lane_rows <= 1 || rows.empty()) return 0;
-  return kernels::word_major_repack(rows, packed, backend.lane_rows);
-}
-
-KernelBlockArgs block_args(const BitMatrix& rows, const std::uint64_t* packed,
+KernelBlockArgs block_args(const BitMatrix& rows,
+                           const std::vector<std::uint64_t>& packed,
                            std::size_t rpad,
                            const std::uint64_t* const* queries,
                            std::uint32_t* out) {
   return {&rows,
-          rpad != 0 ? packed : nullptr,
+          rpad != 0 ? packed.data() : nullptr,
           rpad,
           rows.rows(),
           rows.words_per_row(),
@@ -40,95 +32,62 @@ KernelBlockArgs block_args(const BitMatrix& rows, const std::uint64_t* packed,
           out};
 }
 
-void run_scores(const KernelBackend& backend, const BitMatrix& rows,
-                const std::uint64_t* packed, std::size_t rpad,
-                const std::uint64_t* const* queries, std::size_t num_queries,
-                PopcountOp op, std::uint32_t* out) {
-  if (rows.empty() || num_queries == 0) return;
-  const KernelBlockArgs args = block_args(rows, packed, rpad, queries, out);
+/// Runs body(q0, q1) over the query blocks of a batch on the pool.
+template <typename Body>
+void for_each_query_block(std::size_t num_queries, const Body& body) {
   const std::size_t nblocks = (num_queries + kQueryBlock - 1) / kQueryBlock;
   parallel_for(
       0, nblocks,
       [&](std::size_t b) {
         const std::size_t q0 = b * kQueryBlock;
-        const std::size_t q1 = std::min(num_queries, q0 + kQueryBlock);
-        backend.scores_block(args, op, q0, q1);
-      },
-      /*grain=*/2);
-}
-
-void run_argmax(const KernelBackend& backend, const BitMatrix& rows,
-                const std::uint64_t* packed, std::size_t rpad,
-                const std::uint64_t* const* queries, std::size_t num_queries,
-                std::uint32_t* out) {
-  if (rows.empty() || num_queries == 0) return;
-  const std::size_t nrows = rows.rows();
-  const KernelBlockArgs args = block_args(rows, packed, rpad, queries, out);
-  const std::size_t nblocks = (num_queries + kQueryBlock - 1) / kQueryBlock;
-  parallel_for(
-      0, nblocks,
-      [&](std::size_t b) {
-        const std::size_t q0 = b * kQueryBlock;
-        const std::size_t q1 = std::min(num_queries, q0 + kQueryBlock);
-        if (backend.argmax_block != nullptr) {
-          backend.argmax_block(args, q0, q1);
-          return;
-        }
-        // Generic fallback: materialize this block's scores, then take the
-        // contract literally — "exactly argmax_u32" — per query.
-        std::vector<std::uint32_t> scores((q1 - q0) * nrows);
-        const KernelBlockArgs sub =
-            block_args(rows, packed, rpad, queries + q0, scores.data());
-        backend.scores_block(sub, PopcountOp::kAnd, 0, q1 - q0);
-        for (std::size_t q = q0; q < q1; ++q)
-          out[q] = static_cast<std::uint32_t>(
-              argmax_u32(std::span<const std::uint32_t>(
-                  scores.data() + (q - q0) * nrows, nrows)));
+        body(q0, std::min(num_queries, q0 + kQueryBlock));
       },
       /*grain=*/2);
 }
 
 }  // namespace
 
-void blocked_popcount_scores(const BitMatrix& rows,
-                             const std::uint64_t* const* queries,
-                             std::size_t num_queries, PopcountOp op,
-                             std::uint32_t* out) {
-  if (rows.empty() || num_queries == 0) return;  // before the repack pays
-  const KernelBackend& backend = active_backend();
-  std::vector<std::uint64_t> packed;
-  const std::size_t rpad = repack_rows(backend, rows, packed);
-  run_scores(backend, rows, packed.data(), rpad, queries, num_queries, op,
-             out);
-}
-
-void blocked_dot_argmax(const BitMatrix& rows,
-                        const std::uint64_t* const* queries,
-                        std::size_t num_queries, std::uint32_t* out) {
-  if (rows.empty() || num_queries == 0) return;  // before the repack pays
-  const KernelBackend& backend = active_backend();
-  std::vector<std::uint64_t> packed;
-  const std::size_t rpad = repack_rows(backend, rows, packed);
-  run_argmax(backend, rows, packed.data(), rpad, queries, num_queries, out);
-}
-
 BatchScorer::BatchScorer(const BitMatrix& rows)
     : backend_(&active_backend()), rows_(rows) {
-  rpad_ = repack_rows(*backend_, rows_, packed_);
+  // The backend's lane_rows is the single source of its repack geometry:
+  // lane width 1 means row-major (no repack), anything wider gets the
+  // word-major layout padded to that width.
+  if (backend_->lane_rows > 1 && !rows_.empty())
+    rpad_ = kernels::word_major_repack(rows_, packed_, backend_->lane_rows);
 }
 
 void BatchScorer::scores(const std::uint64_t* const* queries,
                          std::size_t num_queries, PopcountOp op,
                          std::uint32_t* out) const {
-  run_scores(*backend_, rows_, packed_.data(), rpad_, queries, num_queries,
-             op, out);
+  if (rows_.empty() || num_queries == 0) return;
+  const KernelBlockArgs args = block_args(rows_, packed_, rpad_, queries, out);
+  for_each_query_block(num_queries, [&](std::size_t q0, std::size_t q1) {
+    backend_->scores_block(args, op, q0, q1);
+  });
 }
 
 void BatchScorer::dot_argmax(const std::uint64_t* const* queries,
                              std::size_t num_queries,
                              std::uint32_t* out) const {
-  run_argmax(*backend_, rows_, packed_.data(), rpad_, queries, num_queries,
-             out);
+  if (rows_.empty() || num_queries == 0) return;
+  const std::size_t nrows = rows_.rows();
+  const KernelBlockArgs args = block_args(rows_, packed_, rpad_, queries, out);
+  for_each_query_block(num_queries, [&](std::size_t q0, std::size_t q1) {
+    if (backend_->argmax_block != nullptr) {
+      backend_->argmax_block(args, q0, q1);
+      return;
+    }
+    // Generic fallback: materialize this block's scores, then take the
+    // contract literally — "exactly argmax_u32" — per query.
+    std::vector<std::uint32_t> scores((q1 - q0) * nrows);
+    const KernelBlockArgs sub =
+        block_args(rows_, packed_, rpad_, queries + q0, scores.data());
+    backend_->scores_block(sub, PopcountOp::kAnd, 0, q1 - q0);
+    for (std::size_t q = q0; q < q1; ++q)
+      out[q] = static_cast<std::uint32_t>(argmax_u32(
+          std::span<const std::uint32_t>(scores.data() + (q - q0) * nrows,
+                                         nrows)));
+  });
 }
 
 void BatchScorer::scores_rows(const std::uint64_t* query,

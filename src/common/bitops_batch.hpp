@@ -13,10 +13,11 @@
 // parallel_for over query blocks, so the row matrix streams through cache
 // once per block instead of once per query.
 //
-// The entry points below are thin dispatchers over the kernel-backend
-// registry (src/common/kernels/backend.hpp): a portable register-tiled
-// path, an AVX2 vpshufb-popcount path, an AVX-512 VPOPCNTDQ path, and a
-// NEON vcntq path, selected at runtime by CPU feature (override with
+// BatchScorer below is the one entry point: it packs a row matrix once and
+// dispatches every query batch over the kernel-backend registry
+// (src/common/kernels/backend.hpp): a portable register-tiled path, an
+// AVX2 vpshufb-popcount path, an AVX-512 VPOPCNTDQ path, and a NEON vcntq
+// path, selected at runtime by CPU feature (override with
 // common::select_backend() or MEMHD_BATCH_KERNEL). Every backend is
 // bit-identical to the per-query loops — popcounts are exact integer
 // arithmetic — so callers batch freely.
@@ -25,7 +26,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -57,60 +57,6 @@ struct KernelBackend;
 /// the old once-per-process MEMHD_BATCH_KERNEL latch.
 const char* batch_kernel_name();
 
-/// Scores every query row pointer against every row of `rows`:
-/// out[q * rows.rows() + r] = popcount(rows.row(r) OP queries[q]).
-/// Each queries[q] must point at words_for_bits(rows.cols()) words with the
-/// tail bits beyond cols() clear (BitVector/BitMatrix storage guarantees
-/// this). `out` must hold num_queries * rows.rows() entries.
-void blocked_popcount_scores(const BitMatrix& rows,
-                             const std::uint64_t* const* queries,
-                             std::size_t num_queries, PopcountOp op,
-                             std::uint32_t* out);
-
-/// Convenience over a span of BitVectors (each of length rows.cols());
-/// resizes `out` to queries.size() * rows.rows().
-inline void blocked_popcount_scores(const BitMatrix& rows,
-                                    std::span<const BitVector> queries,
-                                    PopcountOp op,
-                                    std::vector<std::uint32_t>& out) {
-  out.resize(queries.size() * rows.rows());
-  if (queries.empty() || rows.empty()) return;
-  const auto ptrs = detail::query_word_ptrs(queries, rows.cols());
-  blocked_popcount_scores(rows, ptrs.data(), ptrs.size(), op, out.data());
-}
-
-/// Convenience over a query matrix (queries.cols() == rows.cols()).
-inline void blocked_popcount_scores(const BitMatrix& rows,
-                                    const BitMatrix& queries, PopcountOp op,
-                                    std::vector<std::uint32_t>& out) {
-  MEMHD_EXPECTS(queries.cols() == rows.cols());
-  out.resize(queries.rows() * rows.rows());
-  if (queries.empty() || rows.empty()) return;
-  std::vector<const std::uint64_t*> ptrs(queries.rows());
-  for (std::size_t q = 0; q < queries.rows(); ++q) ptrs[q] = queries.row(q);
-  blocked_popcount_scores(rows, ptrs.data(), ptrs.size(), op, out.data());
-}
-
-/// Fused batch associative recall: out[q] = argmax over r of
-/// popcount(rows.row(r) AND queries[q]), first occurrence winning ties —
-/// exactly argmax_u32 over the query's score row, but computed inside the
-/// scoring tiles (a running winner-take-all in the accumulator lanes, the
-/// software analogue of the IMC array's in-place winner search) without
-/// materializing the batch * rows score table.
-void blocked_dot_argmax(const BitMatrix& rows,
-                        const std::uint64_t* const* queries,
-                        std::size_t num_queries, std::uint32_t* out);
-
-/// Convenience over a span of BitVectors; resizes `out` to queries.size().
-inline void blocked_dot_argmax(const BitMatrix& rows,
-                               std::span<const BitVector> queries,
-                               std::vector<std::uint32_t>& out) {
-  out.resize(queries.size());
-  if (queries.empty() || rows.empty()) return;
-  const auto ptrs = detail::query_word_ptrs(queries, rows.cols());
-  blocked_dot_argmax(rows, ptrs.data(), ptrs.size(), out.data());
-}
-
 /// Reusable batch engine over a fixed row matrix: performs the kernel's
 /// word-major repack once at construction and then serves any number of
 /// query batches. This is the steady-state shape of the heavy callers — a
@@ -133,15 +79,21 @@ class BatchScorer {
   /// construction time).
   const KernelBackend& backend() const { return *backend_; }
 
-  /// out[q * rows() + r] = popcount(row_r OP query_q); same contract as
-  /// blocked_popcount_scores.
+  /// out[q * rows() + r] = popcount(row_r OP query_q). Each queries[q] must
+  /// point at words_for_bits(cols()) words with the tail bits beyond cols()
+  /// clear (BitVector/BitMatrix storage guarantees this); the pointer form
+  /// writes num_queries * rows() entries, the span form resizes `out`.
   void scores(std::span<const BitVector> queries, PopcountOp op,
               std::vector<std::uint32_t>& out) const;
   void scores(const std::uint64_t* const* queries, std::size_t num_queries,
               PopcountOp op, std::uint32_t* out) const;
 
-  /// out[q] = first-wins argmax_r popcount(row_r AND query_q); same
-  /// contract as blocked_dot_argmax.
+  /// Fused batch associative recall: out[q] = argmax over r of
+  /// popcount(row_r AND query_q), first occurrence winning ties — exactly
+  /// argmax_u32 over the query's score row, but computed inside the
+  /// scoring tiles (a running winner-take-all in the accumulator lanes, the
+  /// software analogue of the IMC array's in-place winner search) without
+  /// materializing the batch * rows score table.
   void dot_argmax(std::span<const BitVector> queries,
                   std::vector<std::uint32_t>& out) const;
   void dot_argmax(const std::uint64_t* const* queries,
@@ -204,16 +156,6 @@ void chunked_dot_argmax(const BatchScorer& scorer,
     scorer.dot_argmax(queries.subspan(begin, n), best);
     for (std::size_t i = 0; i < n; ++i) visit(begin + i, best[i]);
   }
-}
-
-/// Same, over a row matrix that has no scorer yet: packs one for the sweep.
-template <typename Visit>
-void chunked_dot_argmax(const BitMatrix& rows,
-                        std::span<const BitVector> queries, Visit&& visit,
-                        std::size_t chunk = 2048) {
-  if (queries.empty() || rows.empty()) return;
-  chunked_dot_argmax(BatchScorer(rows), queries, std::forward<Visit>(visit),
-                     chunk);
 }
 
 }  // namespace memhd::common

@@ -8,9 +8,9 @@
 // descriptor (name, lane geometry — which fixes the repack layout — and
 // the scores/argmax function table);
 // the registry in registry.cpp orders them by preference and performs
-// runtime CPU-feature selection. blocked_popcount_scores /
-// blocked_dot_argmax / BatchScorer (bitops_batch.hpp) are thin dispatchers
-// over the active descriptor.
+// runtime CPU-feature selection. BatchScorer (bitops_batch.hpp) is the one
+// dispatcher: it packs its rows for the descriptor active at construction
+// and keeps using that descriptor.
 //
 // Contract every backend must honor: outputs are bit-identical to the
 // portable path (and hence to the per-query scalar loops) for every shape —
@@ -79,10 +79,10 @@ std::span<const KernelBackend* const> kernel_backends();
 /// compiled into this binary, e.g. "neon" on x86).
 const KernelBackend* find_kernel_backend(std::string_view name);
 
-/// The backend new BatchScorer instances and the blocked_* free functions
-/// dispatch to. First use runs select_backend("auto"); the result is
-/// process-global but re-selectable at any time (scorers built earlier keep
-/// the backend they were packed for).
+/// The backend new BatchScorer instances dispatch to. First use runs
+/// select_backend("auto"); the result is process-global but re-selectable
+/// at any time (scorers built earlier keep the backend they were packed
+/// for).
 const KernelBackend& active_backend();
 
 /// Selects the active backend. "auto" (or "") re-runs detection: the

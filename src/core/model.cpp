@@ -124,25 +124,6 @@ std::vector<data::Label> MemhdModel::predict_batch(
   return predict_encoded(encoder_->encode_batch(features));
 }
 
-bool MemhdModel::update(std::span<const float> features, data::Label truth) {
-  MEMHD_EXPECTS(am_ != nullptr);
-  MEMHD_EXPECTS(truth < num_classes_);
-  const common::BitVector hv = encoder_->encode(features);
-
-  std::vector<std::uint32_t> scores;
-  am_->scores_binary(hv, scores);
-  const std::size_t predicted_slot = am_->best_centroid(scores);
-  if (am_->owner(predicted_slot) == truth) return false;
-
-  const std::size_t true_slot = am_->best_centroid_of_class(scores, truth);
-  hdc::add_bipolar(am_->fp().row(true_slot), hv, cfg_.learning_rate);
-  hdc::add_bipolar(am_->fp().row(predicted_slot), hv, -cfg_.learning_rate);
-  am_->normalize(cfg_.normalization);
-  am_->binarize();
-  refresh_search();  // the binary plane changed; re-freeze
-  return true;
-}
-
 PartialFitReport MemhdModel::partial_fit(
     const common::Matrix& samples, std::span<const data::Label> labels) {
   MEMHD_EXPECTS(am_ != nullptr);
@@ -161,14 +142,13 @@ PartialFitReport MemhdModel::partial_fit(
 
   data::Label max_label = 0;
   for (const auto label : labels) max_label = std::max(max_label, label);
-  // 0xFFFF is the AM's unassigned-slot sentinel and can never be a class.
-  MEMHD_EXPECTS(max_label < 0xFFFF);
+  MEMHD_EXPECTS(max_label < data::kMaxClasses);
   if (max_label >= num_classes_)
     extend_classes(static_cast<std::size_t>(max_label) + 1, encoded, labels,
                    touched, report);
 
-  // Mispredict-driven bundling, the same Eq. 4-6 step as update() — and
-  // with the same per-miss feedback: the two touched rows are renormalized
+  // Mispredict-driven bundling, the Eq. 4-6 step of QAT, with per-miss
+  // feedback: the two touched rows are renormalized
   // and re-quantized immediately, so the next sample in the batch scores
   // against the corrected AM. Without that feedback every miss of a class
   // lands on the same stale best-slot and the same victim slot, which

@@ -7,6 +7,8 @@
 //   core::MemhdModel model(cfg, train.num_features(), train.num_classes());
 //   auto report = model.fit(train, &test);
 //   double acc = model.evaluate(test);
+//   model.partial_fit(samples, labels);  // online learning (one row = one
+//                                        // sample; only touched rows move)
 //   model.save("model.memhd");
 #pragma once
 
@@ -68,7 +70,7 @@ class MemhdModel {
 
   /// The coarse-to-fine searcher predictions route through, or nullptr
   /// when cfg.cascade is disabled / the model is unfitted. Rebuilt by every
-  /// AM mutation (fit, update, partial_fit, adapt, load) over the AM's
+  /// AM mutation (fit, partial_fit, adapt, load) over the AM's
   /// frozen plane, so it always searches the deployed binary plane.
   const search::CascadeSearcher* cascade() const { return cascade_.get(); }
   /// Shared ownership of the same searcher: serving contexts
@@ -94,18 +96,13 @@ class MemhdModel {
   /// Bit-identical to predict() per row.
   std::vector<data::Label> predict_batch(const common::Matrix& features) const;
 
-  /// Online learning: one quantization-aware update step on a single
-  /// labeled sample (encode, search, Eq. 4-6 on misprediction, re-binarize).
-  /// Returns true when the sample was mispredicted (i.e. an update was
-  /// applied). Use after fit() to adapt a deployed model to drift.
-  bool update(std::span<const float> features, data::Label truth);
-
   /// Continued training on fresh data after deployment: `epochs` QAT epochs
   /// starting from the current AM state.
   QatTrace adapt(const data::Dataset& data, std::size_t epochs);
 
   /// One incremental-training pass over a labeled batch (the online
-  /// subsystem's workhorse; src/online/README.md).
+  /// subsystem's workhorse; src/online/README.md). A one-row batch is the
+  /// single-sample online update.
   ///
   ///   * Mispredict-driven bundling (OnlineHD-style): each sample is scored
   ///     against the deployed binary AM; on a miss the encoded query is

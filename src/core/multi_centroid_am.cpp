@@ -179,8 +179,8 @@ void MultiCentroidAM::scores_batch(std::span<const common::BitVector> queries,
   if (plane_ != nullptr)
     plane_->scores(queries, common::PopcountOp::kAnd, out);
   else
-    common::blocked_popcount_scores(binary_, queries,
-                                    common::PopcountOp::kAnd, out);
+    common::BatchScorer(binary_).scores(queries, common::PopcountOp::kAnd,
+                                        out);
 }
 
 void MultiCentroidAM::scores_fp(const common::BitVector& query,
@@ -233,7 +233,7 @@ std::vector<data::Label> MultiCentroidAM::predict_batch(
   if (plane_ != nullptr)
     plane_->dot_argmax(queries, best);
   else
-    common::blocked_dot_argmax(binary_, queries, best);
+    common::BatchScorer(binary_).dot_argmax(queries, best);
   std::vector<data::Label> out(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     MEMHD_ENSURES(owner_[best[q]] != kUnassigned);
@@ -318,7 +318,8 @@ double evaluate_binary(const MultiCentroidAM& am,
   if (am.frozen())
     common::chunked_dot_argmax(*am.plane(), queries, visit);
   else
-    common::chunked_dot_argmax(am.binary(), queries, visit);
+    common::chunked_dot_argmax(common::BatchScorer(am.binary()), queries,
+                               visit);
   return static_cast<double>(correct) / static_cast<double>(test.size());
 }
 

@@ -19,8 +19,8 @@
 // and serving contexts pin it by pointer. Every writer of the binary matrix
 // (binarize, binarize_rows, extend, restore_binary) drops the plane, so a
 // plane, when present, always equals binary() bit for bit; while it is
-// absent (mid-training) the batch reads fall back to the one-shot blocked
-// kernels, with identical results.
+// absent (mid-training) each batch read packs a one-shot BatchScorer of its
+// own, with identical results.
 //
 // Thread contract: the plane pointer and the FP-mean cache are written only
 // by non-const members. A const AM may be read from any number of threads;

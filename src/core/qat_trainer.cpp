@@ -25,71 +25,51 @@ QatTrace train_qat(MultiCentroidAM& am, const hdc::EncodedDataset& train,
   // so all similarity searches of an epoch form one batch MVM. Samples are
   // scored in blocked chunks (in shuffled order) through the cache-tiled
   // kernel, and the update loop reads the precomputed score rows —
-  // bit-identical to scoring each sample at its turn. Per-sample
-  // binarization invalidates the AM after every update, so that mode keeps
-  // the streaming path.
+  // bit-identical to scoring each sample at its turn.
   constexpr std::size_t kChunk = 512;
-  std::vector<std::uint32_t> scores;
   std::vector<std::uint32_t> chunk_scores;
   std::vector<const std::uint64_t*> chunk_queries;
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     if (cfg.shuffle) rng.shuffle(order);
 
     std::size_t correct = 0;
-    const auto update_sample = [&](std::size_t i,
-                                   std::span<const std::uint32_t> s) {
-      const auto& hv = train.hypervectors[i];
-      const data::Label truth = train.labels[i];
-      const std::size_t predicted_slot = am.best_centroid(s);
-      if (am.owner(predicted_slot) == truth) {
-        ++correct;
-        return;
-      }
+    const std::size_t columns = am.columns();
+    // One scorer per epoch: the repack of the frozen binary AM amortizes
+    // across every chunk of the epoch.
+    const common::BatchScorer scorer(am.binary());
+    for (std::size_t begin = 0; begin < order.size(); begin += kChunk) {
+      const std::size_t n = std::min(kChunk, order.size() - begin);
+      chunk_queries.resize(n);
+      for (std::size_t j = 0; j < n; ++j)
+        chunk_queries[j] = train.hypervectors[order[begin + j]].words();
+      chunk_scores.resize(n * columns);
+      scorer.scores(chunk_queries.data(), n, common::PopcountOp::kAnd,
+                    chunk_scores.data());
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t i = order[begin + j];
+        const std::span<const std::uint32_t> s(
+            chunk_scores.data() + j * columns, columns);
+        const auto& hv = train.hypervectors[i];
+        const data::Label truth = train.labels[i];
+        const std::size_t predicted_slot = am.best_centroid(s);
+        if (am.owner(predicted_slot) == truth) {
+          ++correct;
+          continue;
+        }
 
-      // Step 2: update-target selection (Eq. 4 / Eq. 5).
-      const std::size_t true_slot = am.best_centroid_of_class(s, truth);
+        // Step 2: update-target selection (Eq. 4 / Eq. 5).
+        const std::size_t true_slot = am.best_centroid_of_class(s, truth);
 
-      // Step 3: FP iterative update (Eq. 6).
-      hdc::add_bipolar(am.fp().row(true_slot), hv, cfg.learning_rate);
-      hdc::add_bipolar(am.fp().row(predicted_slot), hv, -cfg.learning_rate);
-      trace.updates += 2;
-
-      if (cfg.binarize_per_sample) {
-        am.normalize(cfg.normalization);
-        am.binarize();
-      }
-    };
-
-    if (cfg.binarize_per_sample) {
-      for (const std::size_t i : order) {
-        am.scores_binary(train.hypervectors[i], scores);
-        update_sample(i, scores);
-      }
-    } else {
-      const std::size_t columns = am.columns();
-      // One scorer per epoch: the repack of the frozen binary AM amortizes
-      // across every chunk of the epoch.
-      const common::BatchScorer scorer(am.binary());
-      for (std::size_t begin = 0; begin < order.size(); begin += kChunk) {
-        const std::size_t n = std::min(kChunk, order.size() - begin);
-        chunk_queries.resize(n);
-        for (std::size_t j = 0; j < n; ++j)
-          chunk_queries[j] = train.hypervectors[order[begin + j]].words();
-        chunk_scores.resize(n * columns);
-        scorer.scores(chunk_queries.data(), n, common::PopcountOp::kAnd,
-                      chunk_scores.data());
-        for (std::size_t j = 0; j < n; ++j)
-          update_sample(order[begin + j],
-                        std::span<const std::uint32_t>(
-                            chunk_scores.data() + j * columns, columns));
+        // Step 3: FP iterative update (Eq. 6).
+        hdc::add_bipolar(am.fp().row(true_slot), hv, cfg.learning_rate);
+        hdc::add_bipolar(am.fp().row(predicted_slot), hv, -cfg.learning_rate);
+        trace.updates += 2;
       }
     }
 
     // Step 4: normalization + binary AM refresh.
-    if (!cfg.binarize_per_sample) {
-      am.normalize(cfg.normalization);
-      am.binarize();
-    }
+    am.normalize(cfg.normalization);
+    am.binarize();
 
     trace.train_accuracy.push_back(static_cast<double>(correct) /
                                    static_cast<double>(train.size()));

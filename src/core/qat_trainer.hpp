@@ -8,8 +8,10 @@
 //   3. FP update: C_true_slot += alpha * H, C_pred_slot -= alpha * H (Eq. 6).
 //   4. Per-centroid normalization of the FP AM, then re-binarization.
 //
-// Step 4 runs once per epoch (the QuantHD cadence); a per-sample refresh is
-// available for ablation but is ~D/64x more expensive.
+// Step 4 runs once per epoch (the QuantHD cadence), so step 1 reads a binary
+// AM that is constant across the epoch and scores it as one batch. The
+// per-sample online update is MemhdModel::partial_fit, which re-quantizes
+// only the two touched rows after each miss.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +29,6 @@ struct QatConfig {
   NormalizationMode normalization = NormalizationMode::kZScore;
   /// Shuffle sample order every epoch.
   bool shuffle = true;
-  /// Refresh the binary AM after every update instead of per epoch.
-  bool binarize_per_sample = false;
   /// Keep (and restore) the binary AM snapshot with the best eval accuracy;
   /// requires an eval set to be passed to train_qat.
   bool keep_best = true;

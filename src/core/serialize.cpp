@@ -133,7 +133,8 @@ MemhdModel load_model(std::istream& in) {
   const bool sane = cfg.dim >= 1 && cfg.dim <= kShapeCap &&
                     cfg.columns <= kShapeCap && num_features >= 1 &&
                     num_features <= kShapeCap && num_classes >= 2 &&
-                    num_classes <= kShapeCap && cfg.columns >= num_classes;
+                    num_classes <= data::kMaxClasses &&
+                    cfg.columns >= num_classes;
   if (!sane) throw std::runtime_error("load_model: corrupt model header");
 
   MemhdModel model(cfg, num_features, num_classes);

@@ -14,6 +14,9 @@
 namespace memhd::data {
 
 using Label = std::uint16_t;
+/// Most classes a model may have: ids stay below 0xFFFF, the
+/// multi-centroid AM's unassigned-slot sentinel.
+inline constexpr std::size_t kMaxClasses = 0xFFFF;
 
 class Dataset {
  public:

@@ -39,24 +39,7 @@ bool ImcArray::weight(std::size_t row, std::size_t col) const {
 
 std::vector<std::uint32_t> ImcArray::mvm_binary(
     const common::BitVector& input) {
-  MEMHD_EXPECTS(input.size() <= geometry_.rows);
-  ++activations_;
-  std::vector<std::uint32_t> out(geometry_.cols, 0);
-  // Single-query drive through the same cached transposed-plane scorer as
-  // the batch path: out[c] = popcount(col_c AND pattern). One shared kernel
-  // implementation for per-query and batch (and far faster than walking
-  // the column bits of every driven row one at a time). A full-width input
-  // is used in place (the BitVector tail invariant guarantees clear bits
-  // past size()); only short inputs pay the zero-extend copy.
-  common::BitVector pattern;
-  const std::uint64_t* query = input.words();
-  if (input.size() != geometry_.rows) {
-    pattern = common::BitVector(geometry_.rows);
-    common::copy_bit_range(input.words(), 0, pattern.words(), input.size());
-    query = pattern.words();
-  }
-  batch_scorer().scores(&query, 1, common::PopcountOp::kAnd, out.data());
-  return out;
+  return mvm_binary_batch(std::span<const common::BitVector>(&input, 1));
 }
 
 const common::BatchScorer& ImcArray::batch_scorer() {

@@ -57,21 +57,19 @@ class ImcArray {
   std::size_t used_cols() const { return used_cols_; }
 
   /// One compute cycle with binary wordline inputs (`input.size()` <= rows;
-  /// missing rows are undriven). Returns per-column popcount sums. Runs
-  /// through the same cached transposed-plane scorer as mvm_binary_batch —
-  /// one kernel implementation for the per-query and batch drives.
+  /// missing rows are undriven). Returns per-column popcount sums. A
+  /// one-row call of mvm_binary_batch.
   std::vector<std::uint32_t> mvm_binary(const common::BitVector& input);
 
   /// Wordline-parallel batch activation: drives the weight plane with a
   /// whole block of binary wordline patterns (one row of `inputs` per
   /// query, `inputs.cols()` == rows) and returns the query-major column-sum
   /// matrix out[q * cols + c] = sum_r inputs[q][r] * w[r][c]. Bit-identical
-  /// to calling mvm_binary once per row of `inputs` (popcounts are exact
-  /// integer arithmetic), but computed through the blocked batch engine
-  /// over a cached column-major repack of the weights, so the weight plane
-  /// streams through cache once per query block instead of once per query.
-  /// activations() advances by inputs.rows() in a single bump — the same
-  /// cycle accounting as the per-query path, applied once per driven block.
+  /// to driving each row as its own cycle (popcounts are exact integer
+  /// arithmetic), but computed through the blocked batch engine over a
+  /// cached column-major repack of the weights, so the weight plane streams
+  /// through cache once per query block instead of once per query.
+  /// activations() advances by inputs.rows(): one cycle per driven pattern.
   std::vector<std::uint32_t> mvm_binary_batch(const common::BitMatrix& inputs);
 
   /// Convenience overload over per-query BitVectors (each of size <= rows;

@@ -61,39 +61,7 @@ std::size_t PartitionedAm::num_arrays() const { return arrays_.size(); }
 
 std::vector<std::uint32_t> PartitionedAm::scores(
     const common::BitVector& query) {
-  MEMHD_EXPECTS(query.size() == dim_);
-  std::vector<std::uint32_t> totals(num_classes_, 0);
-
-  // P sequential passes: pass p drives the arrays with query segment p and
-  // accumulates the columns belonging to partition p.
-  for (std::size_t p = 0; p < partitions_; ++p) {
-    const std::size_t j0 = p * rows_per_partition_;
-    const std::size_t j1 = std::min(dim_, j0 + rows_per_partition_);
-
-    for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-      const std::size_t r0 = rt * geometry_.rows;
-      const std::size_t r1 =
-          std::min(rows_per_partition_, r0 + geometry_.rows);
-      if (j0 + r0 >= j1) continue;  // tail partition may be short
-      common::BitVector segment(r1 - r0);
-      for (std::size_t r = r0; r < r1 && j0 + r < j1; ++r)
-        if (query.get(j0 + r)) segment.set(r - r0, true);
-
-      for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-        const std::size_t c0 = ct * geometry_.cols;
-        const std::size_t c1 = std::min(logical_cols_, c0 + geometry_.cols);
-        // Does this column tile intersect partition p's column group?
-        const std::size_t g0 = p * num_classes_;
-        const std::size_t g1 = g0 + num_classes_;
-        if (c1 <= g0 || c0 >= g1) continue;
-        const auto partial =
-            arrays_[rt * col_tiles_ + ct].mvm_binary(segment);
-        for (std::size_t c = std::max(c0, g0); c < std::min(c1, g1); ++c)
-          totals[c - g0] += partial[c - c0];
-      }
-    }
-  }
-  return totals;
+  return scores_batch(std::span<const common::BitVector>(&query, 1));
 }
 
 std::vector<std::uint32_t> PartitionedAm::scores_batch(
@@ -102,14 +70,12 @@ std::vector<std::uint32_t> PartitionedAm::scores_batch(
   std::vector<std::uint32_t> totals(queries.size() * num_classes_, 0);
   if (queries.empty()) return totals;
 
-  // Same partition / tile walk as scores(), but wordline-parallel: per
-  // (partition, row tile) the query-segment block is extracted once for the
-  // whole batch, and every intersecting array is driven with the block in a
-  // single mvm_binary_batch call instead of one mvm_binary per query per
-  // column tile. Popcounts are exact integers, so the totals — and the
-  // activation accounting (one bump of queries.size() per driven array,
-  // against one increment per query on the scalar path) — are bit-identical
-  // to per-query scores().
+  // P sequential passes, wordline-parallel: pass p extracts query segment p
+  // of the whole batch once per row tile, drives every array intersecting
+  // partition p's column group with that block in one mvm_binary_batch
+  // call (one activation per query per driven array), and accumulates the
+  // columns belonging to partition p. A row tile the short tail partition
+  // never reaches is skipped, so it costs no cycles.
   for (std::size_t p = 0; p < partitions_; ++p) {
     const std::size_t j0 = p * rows_per_partition_;
     const std::size_t j1 = std::min(dim_, j0 + rows_per_partition_);
@@ -148,8 +114,7 @@ std::vector<std::uint32_t> PartitionedAm::scores_batch(
 }
 
 std::size_t PartitionedAm::predict(const common::BitVector& query) {
-  const auto s = scores(query);
-  return common::argmax_u32(s);
+  return predict_batch(std::span<const common::BitVector>(&query, 1))[0];
 }
 
 std::vector<std::size_t> PartitionedAm::predict_batch(

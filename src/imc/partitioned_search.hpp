@@ -10,7 +10,8 @@
 // — is that the result is *bit-identical* to the unpartitioned dot search:
 // partitioning is a pure layout transform that trades arrays for cycles
 // (see map_partitioned for the cost side). This module closes the loop by
-// executing the transform functionally on ImcArray tiles.
+// executing the transform functionally on ImcArray tiles, with one tile
+// walk: the per-query scores()/predict() are one-row batch calls.
 #pragma once
 
 #include <cstdint>
@@ -38,27 +39,22 @@ class PartitionedAm {
   /// Physical arrays holding the reshaped structure.
   std::size_t num_arrays() const;
 
-  /// Per-class dot scores of a D-bit query, computed in P sequential
-  /// partition passes over the arrays.
-  std::vector<std::uint32_t> scores(const common::BitVector& query);
-
-  /// Batched scores: out[q * num_classes() + c]. One pass over the
-  /// partition / tile structure; per (partition, row tile) the query
-  /// segment block is extracted once for the whole batch and each
-  /// intersecting array is driven wordline-parallel with the block
-  /// (ImcArray::mvm_binary_batch), instead of one mvm_binary per query per
-  /// column tile. The result is bit-identical to per-query scores(), and
-  /// activations() advances by the same amount as queries.size() scores()
-  /// calls (one bump of the batch size per driven array).
+  /// Per-class dot scores of D-bit queries, out[q * num_classes() + c],
+  /// computed in P sequential partition passes over the arrays. Per
+  /// (partition, row tile) the query segment block is extracted once for
+  /// the whole batch and each intersecting array is driven wordline-
+  /// parallel with it (ImcArray::mvm_binary_batch); activations() advances
+  /// by queries.size() per driven array.
   std::vector<std::uint32_t> scores_batch(
       std::span<const common::BitVector> queries);
+  /// One-row call of scores_batch.
+  std::vector<std::uint32_t> scores(const common::BitVector& query);
 
-  /// argmax class of scores().
-  std::size_t predict(const common::BitVector& query);
-
-  /// Batched predict (same argmax and tie-breaking per query).
+  /// First-wins argmax class of each query's scores.
   std::vector<std::size_t> predict_batch(
       std::span<const common::BitVector> queries);
+  /// One-row call of predict_batch.
+  std::size_t predict(const common::BitVector& query);
 
   /// Compute cycles consumed so far (one per array activation).
   std::size_t activations() const;

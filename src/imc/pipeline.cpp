@@ -77,27 +77,6 @@ const ImcArray& TiledMatrix::tile(std::size_t rt, std::size_t ct) const {
   return tiles_[rt * col_tiles_ + ct];
 }
 
-std::vector<std::uint32_t> TiledMatrix::mvm_binary(
-    const common::BitVector& input) {
-  MEMHD_EXPECTS(input.size() == logical_rows_);
-  std::vector<std::uint32_t> out(logical_cols_, 0);
-  for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-    const std::size_t r0 = rt * geometry_.rows;
-    const std::size_t r1 = std::min(logical_rows_, r0 + geometry_.rows);
-    common::BitVector segment(r1 - r0);
-    for (std::size_t r = r0; r < r1; ++r)
-      if (input.get(r)) segment.set(r - r0, true);
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      const std::size_t c0 = ct * geometry_.cols;
-      const auto partial = tile_mut(rt, ct).mvm_binary(segment);
-      const std::size_t width =
-          std::min(logical_cols_ - c0, geometry_.cols);
-      for (std::size_t c = 0; c < width; ++c) out[c0 + c] += partial[c];
-    }
-  }
-  return out;
-}
-
 std::vector<std::uint32_t> TiledMatrix::mvm_binary_batch(
     std::span<const common::BitVector> inputs) {
   for (const auto& in : inputs) MEMHD_EXPECTS(in.size() == logical_rows_);
@@ -185,12 +164,7 @@ common::BitVector InMemoryPipeline::encode(std::span<const float> features) {
 }
 
 data::Label InMemoryPipeline::search(const common::BitVector& query) {
-  MEMHD_EXPECTS(query.size() == dim_);
-  const auto scores = am_.mvm_binary(query);
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < scores.size(); ++c)
-    if (scores[c] > scores[best]) best = c;
-  return owners_[best];
+  return search_batch(std::span<const common::BitVector>(&query, 1))[0];
 }
 
 std::vector<data::Label> InMemoryPipeline::search_batch(

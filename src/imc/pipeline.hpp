@@ -9,7 +9,8 @@
 // DAC codes, multiples of 1/256) and D is a power of two, because every
 // partial sum is then exactly representable in binary floating point; this
 // mirrors the physical reality that array inputs pass through a DAC.
-// tests/imc/test_pipeline.cpp asserts the equivalence property.
+// tests/imc/test_pipeline.cpp asserts the equivalence property. The AM
+// search has one path: search() is a one-row call of search_batch().
 //
 // Weight layout: the EM's logical matrix has f wordlines and D columns
 // (cell [i][d] = sign of projection weight M[i][d]); the AM's logical
@@ -56,16 +57,12 @@ class TiledMatrix {
   std::size_t col_tiles() const { return col_tiles_; }
   std::size_t num_arrays() const { return tiles_.size(); }
 
-  /// Full-width binary MVM: drives all row tiles with the corresponding
-  /// segments of `input` (length logical_rows) and accumulates per-column
-  /// integer sums (length logical_cols).
-  std::vector<std::uint32_t> mvm_binary(const common::BitVector& input);
-
-  /// Wordline-parallel batch MVM: out[q * logical_cols + c]. Per row tile
-  /// the segment block of the whole batch is extracted once and each tile
-  /// is driven with the block (ImcArray::mvm_binary_batch). Bit-identical
-  /// to per-query mvm_binary; activations() advances by the same amount as
-  /// inputs.size() mvm_binary calls.
+  /// Full-width wordline-parallel binary MVM over a batch of inputs (each
+  /// of length logical_rows): out[q * logical_cols + c] is the integer sum
+  /// of column c for input q. Per row tile the segment block of the whole
+  /// batch is extracted once and each tile is driven with the block
+  /// (ImcArray::mvm_binary_batch), so activations() advances by
+  /// inputs.size() per tile.
   std::vector<std::uint32_t> mvm_binary_batch(
       std::span<const common::BitVector> inputs);
 
@@ -111,12 +108,13 @@ class InMemoryPipeline {
 
   /// In-array encoding of one feature vector (binarization in periphery).
   common::BitVector encode(std::span<const float> features);
-  /// In-array associative search of an already-encoded query.
-  data::Label search(const common::BitVector& query);
-  /// Batched in-array search through the wordline-parallel AM path; same
-  /// first-wins argmax per query as search(), bit-identical results.
+  /// In-array associative search of already-encoded queries through the
+  /// wordline-parallel AM path: owner of each query's first-wins argmax
+  /// column.
   std::vector<data::Label> search_batch(
       std::span<const common::BitVector> queries);
+  /// One-row call of search_batch.
+  data::Label search(const common::BitVector& query);
   /// encode + search.
   data::Label predict(std::span<const float> features);
 

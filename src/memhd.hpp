@@ -57,10 +57,10 @@
 // kernels live in src/common/bitops_batch.hpp and carry their own runtime
 // CPU dispatch):
 //
-//   common::blocked_popcount_scores / blocked_dot_argmax / BatchScorer
+//   common::BatchScorer
 //       — the engine: BitMatrix x query-batch AND/XOR-popcount scoring and
-//         fused winner-take-all recall; BatchScorer amortizes the kernel's
-//         row repack across many batches (rebuild it when the AM changes).
+//         fused winner-take-all recall; it packs its rows once and serves
+//         any number of batches (rebuild it when the rows change).
 //   search::CascadeSearcher — coarse-to-fine recall for many-centroid AMs:
 //       bit-sampled prescreen plane + exact shortlist rescore
 //       (BatchScorer::scores_rows), with a certified exact mode and an
@@ -70,16 +70,19 @@
 //   hdc::ProjectionEncoder::encode_batch        (sample-blocked matmul)
 //   core::MemhdModel::predict_batch             (encode + search pipeline)
 //   imc::PartitionedAm::scores_batch / predict_batch
+//   imc::InMemoryPipeline::search_batch
 //   baselines::*::predict_batch / scores_batch  (all four, via the base
-//       BaselineModel contract the api:: adapters drive)
+//       BaselineModel contract the api:: adapters drive, each through a
+//       plane packed when its model settles)
 //
-// The models' per-query predict() entry points are one-row calls of their
-// batch paths; evaluation loops and the QAT trainer route through the
-// batch engine internally.
+// The per-query entry points (models' predict(), PartitionedAm::scores /
+// predict, InMemoryPipeline::search, ImcArray::mvm_binary) are one-row
+// calls of their batch paths; evaluation loops and the QAT trainer route
+// through the batch engine internally.
 // MEMHD_NUM_THREADS caps the worker pool used for query-block parallelism.
 //
-// Models that need more than the generic contract (MEMHD's online update()
-// and adapt(), the IMC deployment pipeline's encoder()/am()) are reachable
+// Models that need more than the generic contract (MEMHD's adapt(), the
+// IMC deployment pipeline's encoder()/am()) are reachable
 // through the adapters in src/api/adapters.hpp or the concrete classes
 // below.
 //

@@ -8,12 +8,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/api/adapters.hpp"
+#include "src/common/io.hpp"
 #include "test_util.hpp"
 
 namespace memhd::api {
@@ -304,6 +306,29 @@ TEST(ApiSerialize, LoadThrowsOnCorruptFrameInsteadOfAborting) {
   std::fclose(f);
   EXPECT_THROW(api::load(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(ApiSerialize, BaselineFrameCapsClassCount) {
+  // A complete QuantHD frame at dim 1 whose 65536th class id would equal
+  // the multi-centroid AM's 0xFFFF unassigned-slot sentinel: a typed load
+  // error, not a model that aborts on its first predict.
+  constexpr std::uint64_t kClasses = 0x10000;
+  std::ostringstream out;
+  out.write("MHDAPI03", 8);
+  common::write_pod<std::uint8_t>(
+      out, static_cast<std::uint8_t>(core::ModelKind::kQuantHD));
+  // dim, epochs, num_levels, n_models, seed, num_features, num_classes
+  for (const std::uint64_t v : {std::uint64_t{1}, std::uint64_t{1},
+                                std::uint64_t{2}, std::uint64_t{1},
+                                std::uint64_t{1}, std::uint64_t{1}, kClasses})
+    common::write_pod<std::uint64_t>(out, v);
+  common::write_pod<float>(out, 0.05f);
+  common::write_pod<std::uint8_t>(out, 0);  // basis
+  common::write_pod<std::uint8_t>(out, 0);  // derivation
+  common::write_matrix(out, common::Matrix(kClasses, 1, 1.0f));
+  common::write_bit_matrix(out, common::BitMatrix(kClasses, 1));
+  std::istringstream in(out.str());
+  EXPECT_THROW(api::load(in), std::runtime_error);
 }
 
 }  // namespace

@@ -56,8 +56,7 @@ TEST_P(BitopsBatchSweep, MatchesNaiveAndXor) {
 
   for (const PopcountOp op : {PopcountOp::kAnd, PopcountOp::kXor}) {
     std::vector<std::uint32_t> got;
-    blocked_popcount_scores(rows, std::span<const BitVector>(queries), op,
-                            got);
+    BatchScorer(rows).scores(std::span<const BitVector>(queries), op, got);
     const auto want = naive_scores(rows, queries, op);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i)
@@ -80,8 +79,8 @@ TEST(BitopsBatch, MatchesPerQueryMvm) {
   const auto queries = random_queries(71, dim, rng);
 
   std::vector<std::uint32_t> batch;
-  blocked_popcount_scores(rows, std::span<const BitVector>(queries),
-                          PopcountOp::kAnd, batch);
+  BatchScorer(rows).scores(std::span<const BitVector>(queries),
+                           PopcountOp::kAnd, batch);
 
   std::vector<std::uint32_t> single;
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -98,30 +97,12 @@ TEST(BitopsBatch, XorMatchesHamming) {
   const auto queries = random_queries(9, dim, rng);
 
   std::vector<std::uint32_t> batch;
-  blocked_popcount_scores(rows, std::span<const BitVector>(queries),
-                          PopcountOp::kXor, batch);
+  BatchScorer(rows).scores(std::span<const BitVector>(queries),
+                           PopcountOp::kXor, batch);
   for (std::size_t q = 0; q < queries.size(); ++q)
     for (std::size_t r = 0; r < rows.rows(); ++r)
       ASSERT_EQ(batch[q * rows.rows() + r],
                 rows.row_vector(r).hamming(queries[q]));
-}
-
-TEST(BitopsBatch, QueryMatrixOverloadMatchesSpanOverload) {
-  Rng rng(44);
-  const std::size_t dim = 100;
-  const BitMatrix rows = BitMatrix::random(6, dim, rng);
-  const BitMatrix queries = BitMatrix::random(11, dim, rng);
-
-  std::vector<std::uint32_t> from_matrix;
-  blocked_popcount_scores(rows, queries, PopcountOp::kAnd, from_matrix);
-
-  std::vector<BitVector> qvec;
-  for (std::size_t q = 0; q < queries.rows(); ++q)
-    qvec.push_back(queries.row_vector(q));
-  std::vector<std::uint32_t> from_span;
-  blocked_popcount_scores(rows, std::span<const BitVector>(qvec),
-                          PopcountOp::kAnd, from_span);
-  EXPECT_EQ(from_matrix, from_span);
 }
 
 class BitopsArgmaxSweep
@@ -135,7 +116,7 @@ TEST_P(BitopsArgmaxSweep, FusedArgmaxMatchesScoresPlusFirstWinsArgmax) {
   const auto queries = random_queries(batch, dim, rng);
 
   std::vector<std::uint32_t> got;
-  blocked_dot_argmax(rows, std::span<const BitVector>(queries), got);
+  BatchScorer(rows).dot_argmax(std::span<const BitVector>(queries), got);
   ASSERT_EQ(got.size(), queries.size());
 
   std::vector<std::uint32_t> scores;
@@ -169,7 +150,7 @@ TEST(BitopsBatch, FusedArgmaxFirstWinsOnMassiveTies) {
 
   const auto queries = random_queries(17, dim, rng);
   std::vector<std::uint32_t> got;
-  blocked_dot_argmax(rows, std::span<const BitVector>(queries), got);
+  BatchScorer(rows).dot_argmax(std::span<const BitVector>(queries), got);
 
   std::vector<std::uint32_t> scores;
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -183,36 +164,9 @@ TEST(BitopsBatch, FusedArgmaxAllZeroScoresPicksRowZero) {
   const BitMatrix rows(19, 100);  // all-zero AM: every score is 0
   const auto queries = random_queries(9, 100, rng);
   std::vector<std::uint32_t> got;
-  blocked_dot_argmax(rows, std::span<const BitVector>(queries), got);
+  BatchScorer(rows).dot_argmax(std::span<const BitVector>(queries), got);
   for (std::size_t q = 0; q < queries.size(); ++q)
     EXPECT_EQ(got[q], 0u) << "q=" << q;
-}
-
-TEST(BatchScorer, MatchesFreeFunctionsAcrossOddShapes) {
-  Rng rng(99);
-  for (const std::size_t nrows : {5UL, 16UL, 21UL}) {
-    for (const std::size_t dim : {65UL, 192UL}) {
-      const BitMatrix rows = BitMatrix::random(nrows, dim, rng);
-      const auto queries = random_queries(37, dim, rng);
-      const BatchScorer scorer(rows);
-      EXPECT_EQ(scorer.rows(), nrows);
-      EXPECT_EQ(scorer.cols(), dim);
-
-      for (const PopcountOp op : {PopcountOp::kAnd, PopcountOp::kXor}) {
-        std::vector<std::uint32_t> from_scorer, from_free;
-        scorer.scores(std::span<const BitVector>(queries), op, from_scorer);
-        blocked_popcount_scores(rows, std::span<const BitVector>(queries), op,
-                                from_free);
-        ASSERT_EQ(from_scorer, from_free)
-            << "rows=" << nrows << " dim=" << dim;
-      }
-
-      std::vector<std::uint32_t> am_scorer, am_free;
-      scorer.dot_argmax(std::span<const BitVector>(queries), am_scorer);
-      blocked_dot_argmax(rows, std::span<const BitVector>(queries), am_free);
-      ASSERT_EQ(am_scorer, am_free) << "rows=" << nrows << " dim=" << dim;
-    }
-  }
 }
 
 TEST(BatchScorer, SnapshotsRowsAtConstruction) {
@@ -234,8 +188,8 @@ TEST(BitopsBatch, EmptyBatchProducesEmptyOutput) {
   Rng rng(45);
   const BitMatrix rows = BitMatrix::random(4, 64, rng);
   std::vector<std::uint32_t> out(7, 123);
-  blocked_popcount_scores(rows, std::span<const BitVector>(), PopcountOp::kAnd,
-                          out);
+  BatchScorer(rows).scores(std::span<const BitVector>(), PopcountOp::kAnd,
+                           out);
   EXPECT_TRUE(out.empty());
 }
 

@@ -126,19 +126,22 @@ TEST_P(KernelBackendSweep, BitIdenticalToPortable) {
   const std::span<const BitVector> qspan(queries);
 
   ASSERT_TRUE(select_backend("portable"));
+  const BatchScorer portable(rows);
   std::vector<std::uint32_t> want_and, want_xor, want_argmax;
-  blocked_popcount_scores(rows, qspan, PopcountOp::kAnd, want_and);
-  blocked_popcount_scores(rows, qspan, PopcountOp::kXor, want_xor);
-  blocked_dot_argmax(rows, qspan, want_argmax);
+  portable.scores(qspan, PopcountOp::kAnd, want_and);
+  portable.scores(qspan, PopcountOp::kXor, want_xor);
+  portable.dot_argmax(qspan, want_argmax);
 
   for (const KernelBackend* backend : supported_backends()) {
     ASSERT_TRUE(select_backend(backend->name));
+    const BatchScorer scorer(rows);
+    ASSERT_EQ(&scorer.backend(), backend);
     std::vector<std::uint32_t> got;
-    blocked_popcount_scores(rows, qspan, PopcountOp::kAnd, got);
+    scorer.scores(qspan, PopcountOp::kAnd, got);
     EXPECT_EQ(got, want_and) << backend->name << " AND scores diverge";
-    blocked_popcount_scores(rows, qspan, PopcountOp::kXor, got);
+    scorer.scores(qspan, PopcountOp::kXor, got);
     EXPECT_EQ(got, want_xor) << backend->name << " XOR scores diverge";
-    blocked_dot_argmax(rows, qspan, got);
+    scorer.dot_argmax(qspan, got);
     EXPECT_EQ(got, want_argmax) << backend->name << " argmax diverges";
   }
 }
@@ -167,7 +170,7 @@ TEST(KernelBackends, FirstWinsTieBreakOnEveryBackend) {
     for (const KernelBackend* backend : supported_backends()) {
       ASSERT_TRUE(select_backend(backend->name));
       std::vector<std::uint32_t> got;
-      blocked_dot_argmax(rows, std::span<const BitVector>(queries), got);
+      BatchScorer(rows).dot_argmax(std::span<const BitVector>(queries), got);
       std::vector<std::uint32_t> scores;
       for (std::size_t q = 0; q < queries.size(); ++q) {
         rows.mvm(queries[q], scores);
@@ -186,16 +189,17 @@ TEST(KernelBackends, EmptyShapesOnEveryBackend) {
   const auto queries = random_queries(3, 70, rng);
   for (const KernelBackend* backend : supported_backends()) {
     ASSERT_TRUE(select_backend(backend->name));
+    const BatchScorer empty_plane(empty_rows);
     std::vector<std::uint32_t> out(9, 123);
-    blocked_popcount_scores(rows, std::span<const BitVector>(),
-                            PopcountOp::kAnd, out);
+    BatchScorer(rows).scores(std::span<const BitVector>(), PopcountOp::kAnd,
+                             out);
     EXPECT_TRUE(out.empty()) << backend->name;
-    blocked_popcount_scores(empty_rows, std::span<const BitVector>(queries),
-                            PopcountOp::kAnd, out);
+    empty_plane.scores(std::span<const BitVector>(queries), PopcountOp::kAnd,
+                       out);
     EXPECT_TRUE(out.empty()) << backend->name;
     // Argmax output is per query even when the row plane is empty (the
     // values are unspecified; only the shape is contractual).
-    blocked_dot_argmax(empty_rows, std::span<const BitVector>(queries), out);
+    empty_plane.dot_argmax(std::span<const BitVector>(queries), out);
     EXPECT_EQ(out.size(), queries.size()) << backend->name;
   }
 }

@@ -110,16 +110,9 @@ QatTrace reference_train_qat(MultiCentroidAM& am,
       hdc::add_bipolar(am.fp().row(true_slot), hv, cfg.learning_rate);
       hdc::add_bipolar(am.fp().row(predicted_slot), hv, -cfg.learning_rate);
       trace.updates += 2;
-
-      if (cfg.binarize_per_sample) {
-        am.normalize(cfg.normalization);
-        am.binarize();
-      }
     }
-    if (!cfg.binarize_per_sample) {
-      am.normalize(cfg.normalization);
-      am.binarize();
-    }
+    am.normalize(cfg.normalization);
+    am.binarize();
     trace.train_accuracy.push_back(static_cast<double>(correct) /
                                    static_cast<double>(train.size()));
     trace.epochs_run = epoch + 1;
@@ -163,26 +156,6 @@ TEST(BatchEquivalence, QatTrainerMatchesStreamingReference) {
   EXPECT_DOUBLE_EQ(got.best_eval_accuracy, want.best_eval_accuracy);
   EXPECT_TRUE(am_batched.binary() == am_reference.binary());
   EXPECT_TRUE(am_batched.fp() == am_reference.fp());
-}
-
-TEST(BatchEquivalence, QatPerSampleBinarizeKeepsStreamingPath) {
-  const std::size_t dim = 96;
-  const auto train = testing::clustered_encoded(15, dim, 4, 2, 4, 9);
-
-  QatConfig cfg;
-  cfg.epochs = 2;
-  cfg.binarize_per_sample = true;
-  cfg.keep_best = false;
-  cfg.seed = 4;
-
-  auto am_a = make_trained_am(train, dim, 8);
-  auto am_b = am_a;
-  const QatTrace got = train_qat(am_a, train, nullptr, cfg);
-  const QatTrace want = reference_train_qat(am_b, train, nullptr, cfg);
-
-  EXPECT_EQ(got.train_accuracy, want.train_accuracy);
-  EXPECT_EQ(got.updates, want.updates);
-  EXPECT_TRUE(am_a.binary() == am_b.binary());
 }
 
 }  // namespace

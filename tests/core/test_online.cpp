@@ -1,6 +1,9 @@
-// Online learning API: single-sample QAT updates and post-deployment
-// adaptation (library extension beyond the paper's offline training).
+// Online learning API: single-sample updates (one-row partial_fit) and
+// post-deployment adaptation (library extension beyond the paper's offline
+// training).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/core/model.hpp"
 #include "test_util.hpp"
@@ -18,17 +21,26 @@ MemhdConfig small_config() {
   return cfg;
 }
 
+// One labeled sample through a one-row partial_fit; true on a miss (an
+// update was applied).
+bool learn_one(MemhdModel& model, std::span<const float> sample,
+               data::Label label) {
+  common::Matrix one(1, sample.size());
+  std::copy(sample.begin(), sample.end(), one.row(0).begin());
+  return model.partial_fit(one, std::span(&label, 1)).mispredicted == 1;
+}
+
 TEST(OnlineUpdate, CorrectPredictionIsNoop) {
   const auto split = testing::tiny_separable();
   MemhdModel model(small_config(), split.train.num_features(),
                    split.train.num_classes());
   model.fit(split.train);
-  // Find a correctly classified sample; update() must return false and
-  // leave the binary AM untouched.
+  // Find a correctly classified sample; learning it must apply no update
+  // and leave the binary AM untouched.
   for (std::size_t i = 0; i < split.test.size(); ++i) {
     if (model.predict(split.test.sample(i)) != split.test.label(i)) continue;
     const common::BitMatrix before = model.am().binary();
-    EXPECT_FALSE(model.update(split.test.sample(i), split.test.label(i)));
+    EXPECT_FALSE(learn_one(model, split.test.sample(i), split.test.label(i)));
     EXPECT_TRUE(model.am().binary() == before);
     return;
   }
@@ -43,7 +55,7 @@ TEST(OnlineUpdate, MispredictionTriggersUpdate) {
   bool updated = false;
   for (std::size_t i = 0; i < split.test.size() && !updated; ++i) {
     if (model.predict(split.test.sample(i)) == split.test.label(i)) continue;
-    updated = model.update(split.test.sample(i), split.test.label(i));
+    updated = learn_one(model, split.test.sample(i), split.test.label(i));
   }
   EXPECT_TRUE(updated) << "expected at least one misprediction to update on";
 }
@@ -58,7 +70,7 @@ TEST(OnlineUpdate, RepeatedUpdatesLearnTheSample) {
   for (std::size_t i = 0; i < split.test.size(); ++i) {
     if (model.predict(split.test.sample(i)) == split.test.label(i)) continue;
     for (int step = 0; step < 25; ++step)
-      if (!model.update(split.test.sample(i), split.test.label(i))) break;
+      if (!learn_one(model, split.test.sample(i), split.test.label(i))) break;
     EXPECT_EQ(model.predict(split.test.sample(i)), split.test.label(i));
     return;
   }
@@ -92,7 +104,7 @@ TEST(Adapt, ZeroEpochsIsIdentity) {
 TEST(OnlineUpdate, RequiresFittedModel) {
   MemhdModel model(small_config(), 16, 4);
   const std::vector<float> x(16, 0.5f);
-  EXPECT_DEATH(model.update(x, 0), "precondition");
+  EXPECT_DEATH(learn_one(model, x, 0), "precondition");
 }
 
 }  // namespace

@@ -143,17 +143,5 @@ TEST(QatTrainer, UpdateTargetsRespectOwnership) {
   EXPECT_LT(after_dot, before_dot);
 }
 
-TEST(QatTrainer, PerSampleBinarizationAlsoLearns) {
-  const auto train = testing::clustered_encoded(15, 128, 3, 2, 12);
-  auto cfg = base_config();
-  cfg.dim = 128;
-  cfg.columns = 6;
-  auto am = initialize_clustering(train, cfg, nullptr);
-  auto qc = qat_config(3);
-  qc.binarize_per_sample = true;
-  train_qat(am, train, nullptr, qc);
-  EXPECT_GT(evaluate_binary(am, train), 0.5);
-}
-
 }  // namespace
 }  // namespace memhd::core

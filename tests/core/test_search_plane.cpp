@@ -2,8 +2,8 @@
 // BatchScorer per AM version, built by freeze(), dropped by every writer of
 // the binary matrix, shared by model copies and pinned by pointer in
 // serving contexts. Covers the plane's lifecycle through every MemhdModel
-// mutation, bit-identity of frozen vs unfrozen reads against the blocked
-// free functions on every compiled kernel backend, and the partial_fit
+// mutation, bit-identity of frozen vs unfrozen reads against the dense
+// BitMatrix::mvm oracle on every compiled kernel backend, and the partial_fit
 // FP-mean cache.
 #include <cstdio>
 #include <memory>
@@ -18,6 +18,7 @@
 #include "src/common/bitops_batch.hpp"
 #include "src/common/kernels/backend.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/stats.hpp"
 #include "src/core/model.hpp"
 #include "src/core/serialize.hpp"
 #include "test_util.hpp"
@@ -81,7 +82,7 @@ MemhdModel round_trip(const MemhdModel& model) {
 
 // ------------------------------------------------------------ lifecycle --
 
-TEST(SearchPlane, FrozenAfterFitLoadUpdateAndAdapt) {
+TEST(SearchPlane, FrozenAfterFitLoadPartialFitAndAdapt) {
   const auto split = testing::tiny_multimodal(/*seed=*/3);
   MemhdModel model = fitted_model(split);
   expect_frozen(model.am());
@@ -90,10 +91,11 @@ TEST(SearchPlane, FrozenAfterFitLoadUpdateAndAdapt) {
   expect_frozen(loaded.am());
   EXPECT_NE(loaded.am().plane(), model.am().plane());  // its own version
 
-  // update(): find a sample the model gets wrong under a wrong label.
+  // A one-sample partial_fit under a wrong label is a miss.
   const auto plane_before = model.am().plane();
-  const auto labels = wrong_labels(model, split.train.features());
-  ASSERT_TRUE(model.update(split.train.sample(0), labels[0]));
+  const common::Matrix one = first_rows(split.train.features(), 1);
+  const auto labels = wrong_labels(model, one);
+  ASSERT_EQ(model.partial_fit(one, labels).mispredicted, 1u);
   expect_frozen(model.am());
   EXPECT_NE(model.am().plane(), plane_before);
 
@@ -251,7 +253,7 @@ MultiCentroidAM tied_am(std::size_t dim, std::size_t columns,
 class SearchPlaneBackends
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
-TEST_P(SearchPlaneBackends, FrozenAndUnfrozenMatchTheBlockedKernels) {
+TEST_P(SearchPlaneBackends, FrozenAndUnfrozenMatchTheDenseOracle) {
   const auto [dim, columns] = GetParam();
   BackendGuard guard;
   std::size_t ran = 0;
@@ -275,13 +277,14 @@ TEST_P(SearchPlaneBackends, FrozenAndUnfrozenMatchTheBlockedKernels) {
     queries.push_back(queries.front());
     queries.push_back(am.binary().row_vector(4));
 
-    std::vector<std::uint32_t> want_best, want_scores;
-    common::blocked_dot_argmax(am.binary(), queries, want_best);
-    common::blocked_popcount_scores(am.binary(), queries,
-                                    common::PopcountOp::kAnd, want_scores);
+    // Dense oracle: per-query BitMatrix::mvm + first-wins argmax.
+    std::vector<std::uint32_t> want_scores, row;
     std::vector<data::Label> want_labels(queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q)
-      want_labels[q] = am.owner(want_best[q]);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      am.binary().mvm(queries[q], row);
+      want_scores.insert(want_scores.end(), row.begin(), row.end());
+      want_labels[q] = am.owner(common::argmax_u32(row));
+    }
 
     hdc::EncodedDataset set;
     set.dim = dim;
@@ -299,7 +302,6 @@ TEST_P(SearchPlaneBackends, FrozenAndUnfrozenMatchTheBlockedKernels) {
       EXPECT_EQ(am.predict_batch(queries), want_labels);
       am.scores_batch(queries, scores);
       EXPECT_EQ(scores, want_scores);
-      // Scalar oracle: per-query mvm + first-wins argmax.
       for (std::size_t q = 0; q < queries.size(); ++q)
         ASSERT_EQ(am.predict_binary(queries[q]), want_labels[q]) << q;
       const double expected =

@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
+#include "src/common/io.hpp"
 #include "src/core/model.hpp"
 #include "test_util.hpp"
 
@@ -206,6 +208,55 @@ TEST(Serialize, RematLegacyComboRejectedAsCorrupt) {
   }
   EXPECT_THROW(load_model(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// A complete MEMHD003 stream at dim 1 and one feature: `columns` slots
+// owned round-robin by `num_classes` classes, except that the last slot is
+// owned by `last_owner`.
+std::string tiny_v3_stream(std::uint64_t num_classes, std::uint64_t columns,
+                           std::uint16_t last_owner) {
+  using common::write_pod;
+  std::ostringstream out;
+  out.write("MEMHD003", 8);
+  // dim, columns, num_features, num_classes, epochs, k-means iterations,
+  // seed
+  for (const std::uint64_t v : {std::uint64_t{1}, columns, std::uint64_t{1},
+                                num_classes, std::uint64_t{1},
+                                std::uint64_t{1}, std::uint64_t{1}})
+    write_pod<std::uint64_t>(out, v);
+  write_pod<double>(out, 0.5);         // initial_ratio
+  write_pod<float>(out, 0.05f);        // learning_rate
+  for (int i = 0; i < 5; ++i)          // init, allocation, normalization,
+    write_pod<std::uint8_t>(out, 0);   // basis, derivation
+  write_pod<std::uint8_t>(out, 0);     // cascade disabled
+  write_pod<std::uint8_t>(out, 0);     // cascade mode
+  write_pod<double>(out, 0.5);         // sample fraction
+  write_pod<std::uint64_t>(out, 1);    // shortlist
+  write_pod<std::uint64_t>(out, 0);    // early-exit margin
+  write_pod<std::uint64_t>(out, 0);    // cascade seed
+  for (std::uint64_t col = 0; col < columns; ++col)
+    write_pod<std::uint16_t>(
+        out, col + 1 == columns
+                 ? last_owner
+                 : static_cast<std::uint16_t>(col % num_classes));
+  common::write_matrix(out, common::Matrix(columns, 1, 1.0f));
+  common::write_bit_matrix(out, common::BitMatrix(columns, 1));
+  return out.str();
+}
+
+TEST(Serialize, ClassCountCappedBelowTheUnassignedSentinel) {
+  // 65535 classes is the most a data::Label id space can hold beside the
+  // AM's 0xFFFF unassigned-slot sentinel: such a stream loads and predicts.
+  {
+    std::istringstream in(tiny_v3_stream(0xFFFF, 0x10000, 0xFFFE));
+    const MemhdModel model = load_model(in);
+    EXPECT_EQ(model.num_classes(), 0xFFFFu);
+    EXPECT_LT(model.predict(std::vector<float>{0.5f}), 0xFFFFu);
+  }
+  // One class more lets an owner equal the sentinel: a typed load error,
+  // not a later contract abort in predict.
+  std::istringstream in(tiny_v3_stream(0x10000, 0x10000, 0xFFFF));
+  EXPECT_THROW(load_model(in), std::runtime_error);
 }
 
 TEST(Serialize, SaveUnfittedModelDies) {

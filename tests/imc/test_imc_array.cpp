@@ -111,39 +111,40 @@ TEST(ImcArray, PaperGeometryDefault) {
   EXPECT_EQ(g.cells(), 16384u);
 }
 
-TEST(ImcArray, BatchMvmBitIdenticalToPerQuery) {
-  // The wordline-parallel block path must reproduce per-query mvm_binary
-  // exactly, including odd geometries that straddle word boundaries.
+TEST(ImcArray, BatchMvmMatchesDenseOracle) {
+  // The wordline-parallel block path against the dense BitMatrix::mvm of
+  // the transposed tile (row c = column c over the wordlines), including
+  // odd geometries that straddle word boundaries.
   Rng rng(10);
   for (const auto g : {ArrayGeometry{16, 16}, ArrayGeometry{100, 36},
                        ArrayGeometry{128, 128}, ArrayGeometry{65, 130}}) {
-    ImcArray batch_array(g);
-    ImcArray scalar_array(g);
+    ImcArray a(g);
     const BitMatrix tile = BitMatrix::random(g.rows, g.cols, rng);
-    batch_array.program(tile);
-    scalar_array.program(tile);
+    a.program(tile);
+    const BitMatrix columns = tile.transposed();
 
     const std::size_t batch = 13;
     const BitMatrix inputs = BitMatrix::random(batch, g.rows, rng);
-    const auto out = batch_array.mvm_binary_batch(inputs);
+    const auto out = a.mvm_binary_batch(inputs);
     ASSERT_EQ(out.size(), batch * g.cols);
+    std::vector<std::uint32_t> dense;
     for (std::size_t q = 0; q < batch; ++q) {
-      const auto single = scalar_array.mvm_binary(inputs.row_vector(q));
+      columns.mvm(inputs.row_vector(q), dense);
       for (std::size_t c = 0; c < g.cols; ++c)
-        ASSERT_EQ(out[q * g.cols + c], single[c])
+        ASSERT_EQ(out[q * g.cols + c], dense[c])
             << g.rows << "x" << g.cols << " q=" << q << " c=" << c;
     }
-    // One bump of the batch size == one increment per query.
-    EXPECT_EQ(batch_array.activations(), scalar_array.activations());
-    EXPECT_EQ(batch_array.activations(), batch);
+    // One activation per driven pattern.
+    EXPECT_EQ(a.activations(), batch);
   }
 }
 
 TEST(ImcArray, BatchMvmSpanOverloadHandlesShortInputs) {
   // Per-query vectors shorter than the wordline count leave the missing
-  // rows undriven, exactly as mvm_binary does.
+  // rows undriven: each equals its zero-extended full-width pattern.
   Rng rng(11);
   const BitMatrix tile = BitMatrix::random(32, 8, rng);
+  const BitMatrix columns = tile.transposed();
   ImcArray a(ArrayGeometry{32, 8});
   a.program(tile);
   std::vector<BitVector> inputs;
@@ -151,13 +152,16 @@ TEST(ImcArray, BatchMvmSpanOverloadHandlesShortInputs) {
   inputs.push_back(BitVector::random(32, rng));
   inputs.push_back(BitVector(0));
   const auto out = a.mvm_binary_batch(std::span<const BitVector>(inputs));
-  ImcArray b(ArrayGeometry{32, 8});
-  b.program(tile);
+  std::vector<std::uint32_t> dense;
   for (std::size_t q = 0; q < inputs.size(); ++q) {
-    const auto single = b.mvm_binary(inputs[q]);
+    BitVector padded(32);
+    for (std::size_t r = 0; r < inputs[q].size(); ++r)
+      padded.set(r, inputs[q].get(r));
+    columns.mvm(padded, dense);
     for (std::size_t c = 0; c < 8; ++c)
-      ASSERT_EQ(out[q * 8 + c], single[c]) << "q=" << q;
+      ASSERT_EQ(out[q * 8 + c], dense[c]) << "q=" << q;
   }
+  EXPECT_EQ(a.activations(), inputs.size());
 }
 
 TEST(ImcArray, ReprogrammingInvalidatesBatchPath) {

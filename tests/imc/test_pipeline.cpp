@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "src/common/rng.hpp"
+#include "src/common/stats.hpp"
 #include "src/core/initializer.hpp"
 #include "test_util.hpp"
 
@@ -61,7 +63,8 @@ TEST(TiledMatrix, BinaryMvmMatchesLogicalMatrix) {
   EXPECT_EQ(tiled.num_arrays(), 6u);
 
   const auto input = BitVector::random(300, rng);
-  const auto out = tiled.mvm_binary(input);
+  const auto out =
+      tiled.mvm_binary_batch(std::span<const BitVector>(&input, 1));
   ASSERT_EQ(out.size(), 150u);
   for (std::size_t c = 0; c < 150; ++c) {
     std::uint32_t naive = 0;
@@ -179,37 +182,47 @@ TEST(Pipeline, ActivationCountsPerInference) {
   EXPECT_EQ(pipe.activations(), 16u);
 }
 
-TEST(TiledMatrix, BatchMvmBitIdenticalToPerQuery) {
-  // Wordline-parallel tile drive vs per-query mvm_binary, on a logical
-  // shape that does not divide the geometry in either direction.
+TEST(TiledMatrix, BatchMvmMatchesDenseOracle) {
+  // Wordline-parallel tile drive against the dense BitMatrix::mvm of the
+  // transposed logical matrix (row c = column c over the wordlines), on a
+  // logical shape that does not divide the geometry in either direction.
   Rng rng(20);
   const auto logical = common::BitMatrix::random(300, 150, rng);
-  TiledMatrix batch_tiles(logical, ArrayGeometry{128, 128});
-  TiledMatrix scalar_tiles(logical, ArrayGeometry{128, 128});
+  const auto columns = logical.transposed();
+  TiledMatrix tiles(logical, ArrayGeometry{128, 128});
   std::vector<BitVector> inputs;
   for (int i = 0; i < 9; ++i) inputs.push_back(BitVector::random(300, rng));
-  const auto out = batch_tiles.mvm_binary_batch(inputs);
+  const auto out = tiles.mvm_binary_batch(inputs);
   ASSERT_EQ(out.size(), inputs.size() * 150u);
+  std::vector<std::uint32_t> dense;
   for (std::size_t q = 0; q < inputs.size(); ++q) {
-    const auto single = scalar_tiles.mvm_binary(inputs[q]);
+    columns.mvm(inputs[q], dense);
     for (std::size_t c = 0; c < 150; ++c)
-      ASSERT_EQ(out[q * 150 + c], single[c]) << "q=" << q << " c=" << c;
+      ASSERT_EQ(out[q * 150 + c], dense[c]) << "q=" << q << " c=" << c;
   }
-  EXPECT_EQ(batch_tiles.activations(), scalar_tiles.activations());
+  // 3 row tiles x 2 column tiles, each driven once per input.
+  EXPECT_EQ(tiles.activations(), 6u * inputs.size());
 }
 
-TEST(Pipeline, SearchBatchBitIdenticalToPerQuerySearch) {
+TEST(Pipeline, SearchBatchMatchesDenseOracle) {
+  // 512 x 24 AM: 4 row tiles x 1 column tile of 128x128 arrays.
   const auto d = make_deployed(64, 512, 24, 6, 99);
-  InMemoryPipeline batch_pipe(d.encoder, d.am, ArrayGeometry{128, 128});
-  InMemoryPipeline scalar_pipe(d.encoder, d.am, ArrayGeometry{128, 128});
+  InMemoryPipeline pipe(d.encoder, d.am, ArrayGeometry{128, 128});
   Rng rng(10);
   std::vector<BitVector> queries;
   for (int i = 0; i < 25; ++i) queries.push_back(BitVector::random(512, rng));
-  const auto batch = batch_pipe.search_batch(queries);
+  queries.push_back(d.am.binary().row_vector(7));  // a self-match
+  const auto batch = pipe.search_batch(queries);
   ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    ASSERT_EQ(batch[q], scalar_pipe.search(queries[q])) << "q=" << q;
-  EXPECT_EQ(batch_pipe.activations(), scalar_pipe.activations());
+  std::vector<std::uint32_t> dense;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    d.am.binary().mvm(queries[q], dense);
+    ASSERT_EQ(batch[q], d.am.owner(common::argmax_u32(dense))) << "q=" << q;
+  }
+  EXPECT_EQ(pipe.activations(), 4u * queries.size());
+  // search() is a one-row call: same label, one query's worth of cycles.
+  EXPECT_EQ(pipe.search(queries[3]), batch[3]);
+  EXPECT_EQ(pipe.activations(), 4u * (queries.size() + 1));
 }
 
 TEST(Pipeline, OneShotSearchProperty) {
