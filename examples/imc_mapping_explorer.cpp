@@ -3,9 +3,10 @@
 // shape, and an array geometry, prints cycles / arrays / utilization for
 // Basic, Partitioning (a P sweep), and MEMHD mappings.
 //
-//   $ ./imc_mapping_explorer --features 784 --classes 10 \
-//         --baseline-dim 10240 --memhd-dim 128 --memhd-columns 128 \
-//         --array-rows 128 --array-cols 128
+//   $ ./imc_mapping_explorer --features 784 --classes 10 --baseline-dim 10240
+//         --memhd-dim 128 --memhd-columns 128 --array-rows 128 --array-cols 128
+//
+// (one command line, wrapped here).
 //
 // Useful for sizing a MEMHD deployment against a concrete macro: sweep
 // --array-rows/--array-cols to your hardware and read off the shape whose

@@ -3,9 +3,12 @@
 //
 // Trains a 128x128 model, then reports accuracy while (a) corrupting a
 // growing fraction of the stored AM cells and (b) shrinking the readout
-// ADC — the two dominant non-idealities of real CIM macros. Closes with the
-// online-repair story: after corruption, one-sample partial_fit() calls on
-// streaming labeled samples recover most of the loss.
+// ADC — the two dominant non-idealities of real CIM macros. Closes with
+// online updates on the clean deployed model: one-sample partial_fit()
+// calls stream the labels of the first half of the test set, and the
+// held-back half is scored before and after. Nothing here repairs a
+// corrupted array; the section reports what the updates do to accuracy,
+// which may go either way.
 #include <algorithm>
 #include <cstdio>
 
@@ -23,7 +26,7 @@ int main(int argc, char** argv) {
 
   common::CliParser cli(
       "Measure MEMHD's tolerance to weight corruption and ADC precision, "
-      "then repair a corrupted model with online updates.");
+      "then measure one-sample online updates on the deployed model.");
   cli.add_flag("dim", "128", "Hypervector dimension D");
   cli.add_flag("columns", "128", "AM columns C");
   cli.add_flag("epochs", "15", "Training epochs");
@@ -80,12 +83,21 @@ int main(int argc, char** argv) {
   }
   adc.print();
 
-  // (c) Online repair: corrupt the deployed model's own FP->binary state
-  //     indirectly by streaming updates after simulated drift. Here we
-  //     stream the first chunk of the test set as labeled data.
-  std::printf("\n-- online repair with one-sample partial_fit() --\n");
-  std::size_t applied = 0;
+  // (c) Online updates: stream the first half of the test set as labeled
+  //     samples into the clean model and score the held-back half before
+  //     and after.
+  std::printf("\n-- online updates with one-sample partial_fit() --\n");
   const std::size_t stream = split.test.size() / 2;
+  const auto held_back_accuracy = [&] {
+    std::size_t correct = 0;
+    for (std::size_t i = stream; i < split.test.size(); ++i)
+      if (model.predict(split.test.sample(i)) == split.test.label(i))
+        ++correct;
+    return static_cast<double>(correct) /
+           static_cast<double>(split.test.size() - stream);
+  };
+  const double before = held_back_accuracy();
+  std::size_t applied = 0;
   common::Matrix one(1, split.test.num_features());
   for (std::size_t i = 0; i < stream; ++i) {
     const auto sample = split.test.sample(i);
@@ -95,15 +107,7 @@ int main(int argc, char** argv) {
   }
   std::printf("streamed %zu labeled samples, %zu updates applied\n", stream,
               applied);
-  std::printf("accuracy on held-back half after adaptation: %.2f%%\n",
-              100.0 * [&] {
-                std::size_t correct = 0;
-                for (std::size_t i = stream; i < split.test.size(); ++i)
-                  if (model.predict(split.test.sample(i)) ==
-                      split.test.label(i))
-                    ++correct;
-                return static_cast<double>(correct) /
-                       static_cast<double>(split.test.size() - stream);
-              }());
+  std::printf("held-back half: %.2f%% before the updates, %.2f%% after\n",
+              100.0 * before, 100.0 * held_back_accuracy());
   return 0;
 }

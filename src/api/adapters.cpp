@@ -3,19 +3,17 @@
 #include <stdexcept>
 
 #include "src/common/assert.hpp"
-#include "src/common/bitops_batch.hpp"
 #include "src/common/io.hpp"
 #include "src/core/serialize.hpp"
-#include "src/search/cascade.hpp"
 
 namespace memhd::api {
 
 // A shard worker keeps scoring the version it pinned at batch cut even while
-// a hot swap publishes a new one: the pointers below keep that version's
-// planes alive, and the BatchServer rebuilds contexts on version change,
-// which is what re-points shards at the new planes.
+// a hot swap publishes a new one: the pointer below keeps that version's
+// plane alive, and the BatchServer rebuilds contexts on version change,
+// which is what re-points shards at the new plane.
 MemhdPredictContext::MemhdPredictContext(const core::MemhdModel& model)
-    : cascade(model.cascade_ptr()), plane(model.am().plane()) {
+    : plane(model.am().plane()) {
   MEMHD_EXPECTS(plane != nullptr);
 }
 
@@ -59,19 +57,9 @@ void MemhdClassifier::predict_batch_into(const common::Matrix& features,
     return;
   }
   MEMHD_EXPECTS(out.size() == features.rows());
-  // Same batch encode and the same search engine objects as predict_batch
-  // — the version's CascadeSearcher when the cascade is on, its frozen
-  // plane otherwise — hence bit-identical; the context only saves the
-  // label vector and keeps the pinned version's planes alive.
-  const auto encoded = model_.encoder().encode_batch(features);
-  if (ctx->cascade != nullptr)
-    ctx->cascade->dot_argmax(std::span<const common::BitVector>(encoded),
-                             ctx->best);
-  else
-    ctx->plane->dot_argmax(std::span<const common::BitVector>(encoded),
-                           ctx->best);
-  for (std::size_t q = 0; q < encoded.size(); ++q)
-    out[q] = model_.am().owner(ctx->best[q]);
+  // Same batch encode and the same plane as predict_batch, hence
+  // bit-identical; the context keeps the pinned version's plane alive.
+  ctx->plane->predict(model_.encoder().encode_batch(features), out);
 }
 
 void MemhdClassifier::scores_batch(const common::Matrix& features,

@@ -2,10 +2,10 @@
 //
 // MemhdClassifier wraps core::MemhdModel; BaselineClassifier wraps any
 // baselines::BaselineModel behind the same batch-first surface. Both route
-// scoring through the search the wrapped models already use — the frozen
-// core::MultiCentroidAM plane for MEMHD, BasicHDC and QuantHD, the blocked
-// kernels for SearcHD and LeHDC — and single-sample predict() is a one-row
-// batch; the adapters add no per-sample loops of their own.
+// every search through the wrapped model's one frozen
+// search::CentroidPlane (MEMHD's with its cascade when enabled), and
+// single-sample predict() is a one-row batch; the adapters add no
+// per-sample loops of their own.
 #pragma once
 
 #include <cstdint>
@@ -15,22 +15,19 @@
 #include "src/api/classifier.hpp"
 #include "src/api/options.hpp"
 #include "src/baselines/baseline.hpp"
-#include "src/common/bitops_batch.hpp"
 #include "src/core/model.hpp"
+#include "src/search/centroid_plane.hpp"
 
 namespace memhd::api {
 
-/// MEMHD's PredictContext: pins the model version's frozen search engine —
-/// the cascade when enabled, else the AM's packed exhaustive plane
-/// (core::MultiCentroidAM::plane()) — by pointer. Building one copies two
-/// shared_ptrs; nothing is re-packed, so a hot-swap context rebuild costs a
-/// pointer copy and every context of a version shares that version's one
-/// plane.
+/// MEMHD's PredictContext: pins the model version's frozen search plane
+/// (core::MultiCentroidAM::plane(), cascade included) by pointer. Building
+/// one copies a shared_ptr; nothing is re-packed, so a hot-swap context
+/// rebuild costs a pointer copy and every context of a version shares that
+/// version's one plane.
 struct MemhdPredictContext final : Classifier::PredictContext {
   explicit MemhdPredictContext(const core::MemhdModel& model);
-  std::shared_ptr<const search::CascadeSearcher> cascade;  // null if off
-  std::shared_ptr<const common::BatchScorer> plane;        // never null
-  std::vector<std::uint32_t> best;                         // scratch
+  std::shared_ptr<const search::CentroidPlane> plane;  // never null
 };
 
 class MemhdClassifier final : public Classifier {
@@ -51,8 +48,8 @@ class MemhdClassifier final : public Classifier {
   data::Label predict(std::span<const float> features) const override;
   std::vector<data::Label> predict_batch(
       const common::Matrix& features) const override;
-  /// A MemhdPredictContext: pins the version's frozen plane (and cascade)
-  /// by pointer; no copy, no repack.
+  /// A MemhdPredictContext: pins the version's frozen plane by pointer; no
+  /// copy, no repack.
   std::unique_ptr<PredictContext> make_predict_context() const override;
   void predict_batch_into(const common::Matrix& features,
                           std::span<data::Label> out,

@@ -242,8 +242,8 @@ void BatchServer::shard_loop(Shard& shard) {
       const Classifier* model = shard.model;
       const std::uint64_t version = shard.version;
       lock.unlock();
-      // The context (for MEMHD a pointer pin of the version's frozen
-      // search plane) is this worker's private scoring scratch — built and
+      // The context (for MEMHD one pointer pin of the version's frozen
+      // search plane) is this worker's private scoring state — built and
       // only ever touched on this thread, and rebuilt only when the
       // dispatched version changed (version ids are never reused, so id
       // equality means the same frozen model). The dispatcher's pin keeps

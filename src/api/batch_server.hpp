@@ -13,13 +13,14 @@
 // A cut batch larger than `shard_quantum` rows is split row-wise into up to
 // `shards` contiguous pieces; each piece is scored by its shard worker
 // through Classifier::predict_batch_into with that shard's pinned
-// PredictContext (reusable scoring scratch — for MEMHD a pointer pin of
-// the version's frozen search plane), and each row's future completes as
-// soon as its piece finishes. Shard workers score inline
+// PredictContext (for MEMHD one pointer pin of the version's frozen
+// search::CentroidPlane, cascade included), and each row's future
+// completes as soon as its piece finishes. Shard workers score inline
 // (common::InlineParallelScope) so the shard set itself is the parallelism
-// — sibling shards never contend for the shared thread pool. Batches at or below the quantum run exactly
-// as in the unsharded server, context-free, through the same frozen plane
-// (core::MultiCentroidAM::plane()) the shard contexts pin.
+// — sibling shards never contend for the shared thread pool. Batches at or
+// below the quantum run exactly as in the unsharded server, context-free,
+// through the same frozen plane (core::MultiCentroidAM::plane()) the shard
+// contexts pin.
 //
 // Bit-identity contract: predict_batch is bit-identical to per-sample
 // predict() for every registry model, and predict_batch_into is

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "src/common/assert.hpp"
+#include "src/common/stats.hpp"
 
 namespace memhd::api {
 
@@ -39,11 +40,7 @@ void Classifier::predict_batch_into(const common::Matrix& features,
 
 double Classifier::evaluate(const data::Dataset& test) const {
   if (test.empty()) return 0.0;
-  const auto predicted = predict_batch(test.features());
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < test.size(); ++i)
-    if (predicted[i] == test.label(i)) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(test.size());
+  return common::accuracy(test.labels(), predict_batch(test.features()));
 }
 
 void Classifier::save(const std::string& path) const {

@@ -61,9 +61,9 @@ class Classifier {
   virtual std::vector<data::Label> predict_batch(
       const common::Matrix& features) const = 0;
 
-  /// Opaque, model-specific inference scratch reused across
+  /// Opaque, model-specific inference state reused across
   /// predict_batch_into calls — for MEMHD a pointer pin of the model
-  /// version's frozen search plane plus a label buffer. A context serves
+  /// version's frozen search::CentroidPlane. A context serves
   /// one thread at a time (api::BatchServer pins one per shard worker) and
   /// pins the fitted state it was made from: rebuild it after another
   /// fit() or load.

@@ -7,6 +7,7 @@
 #include "src/baselines/quanthd.hpp"
 #include "src/baselines/searchd.hpp"
 #include "src/common/assert.hpp"
+#include "src/common/stats.hpp"
 #include "src/hdc/bundling.hpp"
 
 namespace memhd::baselines {
@@ -37,11 +38,7 @@ data::Label BaselineModel::predict(const common::BitVector& query) const {
 double BaselineModel::evaluate(const data::Dataset& test) const {
   if (test.empty()) return 0.0;
   const auto encoded = encode_dataset(test);
-  const auto predicted = predict_batch(encoded.hypervectors);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < encoded.size(); ++i)
-    if (predicted[i] == encoded.labels[i]) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(encoded.size());
+  return common::accuracy(encoded.labels, predict_batch(encoded.hypervectors));
 }
 
 core::MemoryBreakdown BaselineModel::memory() const {
@@ -71,6 +68,14 @@ core::MultiCentroidAM single_pass_am(const hdc::EncodedDataset& train,
   auto am = class_am(sums);
   am.binarize();
   return am;
+}
+
+std::vector<data::Label> block_owners(std::size_t num_classes,
+                                      std::size_t per_class) {
+  std::vector<data::Label> owners(num_classes * per_class);
+  for (std::size_t r = 0; r < owners.size(); ++r)
+    owners[r] = static_cast<data::Label>(r / per_class);
+  return owners;
 }
 
 std::unique_ptr<BaselineModel> make_baseline(core::ModelKind kind,

@@ -3,17 +3,18 @@
 // Every baseline deploys a binary AM searched with MVM dot similarity
 // (paper §IV-F: "all models employ MVM-based associative search for
 // inference"), so they share one inference contract: encode features to a
-// packed hypervector, score it against every stored row, take the argmax.
-// The models differ only in encoder family, AM structure, and training
-// scheme, which is exactly what the virtuals below capture. BasicHDC and
-// QuantHD keep one class vector per class: a core::MultiCentroidAM with
-// one column per class (class_am below), searched through its frozen
-// plane. SearcHD and LeHDC keep their own bit matrices and pack each into a
-// common::BatchScorer plane whenever it settles (construction, fit,
-// load_state), so no query batch repacks a matrix. The batch-first surface
-// (encode_batch / predict_batch / scores_batch) is what the api::Classifier
-// adapters drive; the one-query predict() is a one-row call of
-// predict_batch, so the two cannot disagree.
+// packed hypervector, then answer through the model's frozen
+// search::CentroidPlane — its packed rows, its row -> class owner map and
+// its ranking rule. The base class implements predict_batch, scores_batch
+// and score_rows once over plane(); the models differ only in encoder
+// family, AM structure (the plane's rows and owners) and training scheme,
+// which is what the virtuals below capture. BasicHDC and QuantHD keep one
+// class vector per class: a core::MultiCentroidAM with one column per class
+// (class_am below), whose frozen plane they return. SearcHD (k*N rows,
+// row r owned by class r / N) and LeHDC (k rows, bipolar ranking) keep
+// their bits only in a plane they build whenever the bits settle
+// (construction, fit, load_state). The one-query predict() is a one-row
+// call of predict_batch, so the two cannot disagree.
 #pragma once
 
 #include <iosfwd>
@@ -28,6 +29,7 @@
 #include "src/core/multi_centroid_am.hpp"
 #include "src/data/dataset.hpp"
 #include "src/hdc/encoded_dataset.hpp"
+#include "src/search/centroid_plane.hpp"
 
 namespace memhd::baselines {
 
@@ -78,23 +80,31 @@ class BaselineModel {
   virtual hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const = 0;
 
+  /// The frozen search plane every inference below reads. Present from
+  /// construction (over the untrained rows) and rebuilt by fit() and
+  /// load_state().
+  virtual const search::CentroidPlane& plane() const = 0;
+
   /// Per-query inference on a pre-encoded query (valid after fit()): a
   /// one-row call of predict_batch.
   data::Label predict(const common::BitVector& query) const;
 
-  /// Batched inference over pre-encoded queries through the model's packed
-  /// search plane.
-  virtual std::vector<data::Label> predict_batch(
-      std::span<const common::BitVector> queries) const = 0;
+  /// Batched inference over pre-encoded queries.
+  std::vector<data::Label> predict_batch(
+      std::span<const common::BitVector> queries) const {
+    return plane().predict(queries);
+  }
 
   /// Number of stored rows the associative search scores a query against:
   /// k for the single-centroid models, k*N for SearcHD.
-  virtual std::size_t score_rows() const = 0;
+  std::size_t score_rows() const { return plane().rows(); }
 
   /// Raw batched MVM scores against every stored row:
   /// out[q * score_rows() + r] = popcount(row_r AND query_q).
-  virtual void scores_batch(std::span<const common::BitVector> queries,
-                            std::vector<std::uint32_t>& out) const = 0;
+  void scores_batch(std::span<const common::BitVector> queries,
+                    std::vector<std::uint32_t>& out) const {
+    plane().scores(queries, out);
+  }
 
   /// Accuracy on `test` using the deployed binary model (encode_dataset +
   /// predict_batch; shared by every baseline).
@@ -132,6 +142,11 @@ core::MultiCentroidAM class_am(const common::Matrix& class_vectors);
 /// 1-bit quantization against the global FP mean.
 core::MultiCentroidAM single_pass_am(const hdc::EncodedDataset& train,
                                      std::size_t num_classes);
+
+/// Owner map of `num_classes` classes holding `per_class` consecutive rows
+/// each: row r belongs to class r / per_class.
+std::vector<data::Label> block_owners(std::size_t num_classes,
+                                      std::size_t per_class);
 
 /// Factory over core::ModelKind (kMemhd is not a baseline and is rejected).
 std::unique_ptr<BaselineModel> make_baseline(core::ModelKind kind,

@@ -22,7 +22,9 @@ BasicHdc::BasicHdc(std::size_t num_features, std::size_t num_classes,
                    const BaselineConfig& config)
     : BaselineModel(config, num_features, num_classes),
       encoder_(make_encoder_config(num_features, config)),
-      am_(class_am(common::Matrix(num_classes, config.dim, 0.0f))) {}
+      am_(class_am(common::Matrix(num_classes, config.dim, 0.0f))) {
+  am_.freeze();
+}
 
 void BasicHdc::fit(const data::Dataset& train) {
   const auto encoded = encoder_.encode_dataset(train);
@@ -57,16 +59,6 @@ std::vector<common::BitVector> BasicHdc::encode_batch(
 hdc::EncodedDataset BasicHdc::encode_dataset(
     const data::Dataset& dataset) const {
   return encoder_.encode_dataset(dataset);
-}
-
-std::vector<data::Label> BasicHdc::predict_batch(
-    std::span<const common::BitVector> queries) const {
-  return am_.predict_batch(queries);
-}
-
-void BasicHdc::scores_batch(std::span<const common::BitVector> queries,
-                            std::vector<std::uint32_t>& out) const {
-  am_.scores_batch(queries, out);
 }
 
 void BasicHdc::save_state(std::ostream& out) const {

@@ -3,8 +3,8 @@
 // associative search are MVMs), which is why the paper uses it as the IMC
 // baseline in Table II and Fig. 7. The class vectors are a
 // core::MultiCentroidAM with one column per class (baselines::class_am),
-// frozen after fit() and load_state() so every search reads its packed
-// plane.
+// frozen at construction, after fit() and after load_state(); its frozen
+// plane is the model's plane().
 #pragma once
 
 #include "src/baselines/baseline.hpp"
@@ -31,11 +31,8 @@ class BasicHdc final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  std::vector<data::Label> predict_batch(
-      std::span<const common::BitVector> queries) const override;
-  std::size_t score_rows() const override { return num_classes_; }
-  void scores_batch(std::span<const common::BitVector> queries,
-                    std::vector<std::uint32_t>& out) const override;
+  /// The class AM's frozen plane.
+  const search::CentroidPlane& plane() const override { return *am_.plane(); }
 
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/common/assert.hpp"
-#include "src/common/bitops_batch.hpp"
 #include "src/common/io.hpp"
 #include "src/common/rng.hpp"
 #include "src/hdc/bundling.hpp"
@@ -28,19 +26,14 @@ LeHdc::LeHdc(std::size_t num_features, std::size_t num_classes,
              const BaselineConfig& config)
     : BaselineModel(config, num_features, num_classes),
       encoder_(make_encoder_config(num_features, config)),
-      weights_(num_classes, config.dim, 0.0f),
-      binary_(num_classes, config.dim) {
+      weights_(num_classes, config.dim, 0.0f) {
   hyper_.learning_rate = config.learning_rate;
-  freeze();
+  freeze(common::BitMatrix(num_classes, config.dim));
 }
 
-void LeHdc::freeze() {
-  plane_ = std::make_shared<const common::BatchScorer>(binary_);
-  row_pc_.resize(num_classes_);
-  for (std::size_t c = 0; c < num_classes_; ++c)
-    row_pc_[c] = static_cast<std::int64_t>(
-        common::and_popcount(binary_.row(c), binary_.row(c),
-                             binary_.words_per_row()));
+void LeHdc::freeze(const common::BitMatrix& binary) {
+  plane_ = std::make_shared<const search::CentroidPlane>(
+      binary, block_owners(num_classes_, 1), search::Ranking::kBipolar);
 }
 
 common::BitVector LeHdc::encode(std::span<const float> features) const {
@@ -78,11 +71,12 @@ void LeHdc::fit(const data::Dataset& train) {
   std::vector<float> logits(num_classes_);
   std::vector<float> probs(num_classes_);
   common::Matrix grad(num_classes_, config_.dim, 0.0f);
+  common::BitMatrix binary(num_classes_, config_.dim);  // sign(weights_)
 
   const auto refresh_binary = [&] {
     for (std::size_t c = 0; c < num_classes_; ++c) {
       const auto row = weights_.row(c);
-      binary_.set_row(c, common::BitVector::from_threshold(
+      binary.set_row(c, common::BitVector::from_threshold(
                              row.data(), row.size(), 0.0f));
     }
   };
@@ -107,7 +101,7 @@ void LeHdc::fit(const data::Dataset& train) {
         for (std::size_t c = 0; c < num_classes_; ++c) {
           float acc = 0.0f;
           for (std::size_t j = 0; j < config_.dim; ++j)
-            acc += (binary_.get(c, j) ? 1.0f : -1.0f) * bipolar[j];
+            acc += (binary.get(c, j) ? 1.0f : -1.0f) * bipolar[j];
           logits[c] = acc * inv_sqrt_d;
         }
 
@@ -147,40 +141,7 @@ void LeHdc::fit(const data::Dataset& train) {
       refresh_binary();
     }
   }
-  freeze();
-}
-
-std::vector<data::Label> LeHdc::predict_batch(
-    std::span<const common::BitVector> queries) const {
-  std::vector<std::uint32_t> scores;
-  plane_->scores(queries, common::PopcountOp::kAnd, scores);
-  // Ranking by bipolar-weight x bipolar-query dot equals ranking by
-  // 2*dot - popcount(row) over the {0,1} sign bit-plane (bipolar dot =
-  // 4*dot - 2pc(row) - 2pc(q) + D, and pc(q) is constant per query), so
-  // the plain binary MVM of the IMC array suffices. Row popcounts are
-  // query-independent and counted once, by freeze().
-
-  std::vector<data::Label> out(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const std::uint32_t* s = scores.data() + q * num_classes_;
-    std::size_t best = 0;
-    std::int64_t best_score = std::numeric_limits<std::int64_t>::min();
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      const std::int64_t corrected =
-          2 * static_cast<std::int64_t>(s[c]) - row_pc_[c];
-      if (corrected > best_score) {
-        best_score = corrected;
-        best = c;
-      }
-    }
-    out[q] = static_cast<data::Label>(best);
-  }
-  return out;
-}
-
-void LeHdc::scores_batch(std::span<const common::BitVector> queries,
-                         std::vector<std::uint32_t>& out) const {
-  plane_->scores(queries, common::PopcountOp::kAnd, out);
+  freeze(binary);
 }
 
 void LeHdc::save_state(std::ostream& out) const {
@@ -189,7 +150,7 @@ void LeHdc::save_state(std::ostream& out) const {
   common::write_pod<float>(out, hyper_.weight_decay);
   common::write_pod<std::uint64_t>(out, hyper_.batch_size);
   common::write_matrix(out, weights_);
-  common::write_bit_matrix(out, binary_);
+  common::write_bit_matrix(out, binary_weights());
 }
 
 void LeHdc::load_state(std::istream& in) {
@@ -199,8 +160,7 @@ void LeHdc::load_state(std::istream& in) {
   hyper_.batch_size =
       static_cast<std::size_t>(common::read_pod<std::uint64_t>(in));
   weights_ = common::read_matrix(in, num_classes_, config_.dim);
-  binary_ = common::read_bit_matrix(in, num_classes_, config_.dim);
-  freeze();
+  freeze(common::read_bit_matrix(in, num_classes_, config_.dim));
 }
 
 }  // namespace memhd::baselines

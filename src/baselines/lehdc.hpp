@@ -9,9 +9,10 @@
 //             estimator with the usual |w| <= 1 clip.
 //
 // Deployment binarizes W once; inference is the same binary MVM dot search
-// as every other baseline, through a packed search plane (plus the row
-// popcounts of the ranking correction) built whenever the binary weights
-// settle: construction, fit, load_state.
+// as every other baseline, through a search::CentroidPlane with bipolar
+// ranking (2 * dot - popcount(row), which orders classes exactly as the
+// bipolar dot sign(W) . bipolar(h) does). The binary weights live only in
+// that plane, rebuilt whenever they settle: construction, fit, load_state.
 #pragma once
 
 #include <cstdint>
@@ -45,40 +46,28 @@ class LeHdc final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  /// Batched inference over pre-encoded queries: AND-popcount MVM over the
-  /// packed plane, ranked by the corrected score 2*dot - popcount(row),
-  /// which orders classes exactly as the bipolar dot sign(W) . bipolar(h)
-  /// does (first maximum wins).
-  std::vector<data::Label> predict_batch(
-      std::span<const common::BitVector> queries) const override;
-
-  std::size_t score_rows() const override { return num_classes_; }
-  /// Raw AND-popcount MVM scores (the row-popcount correction of
-  /// predict_batch is a ranking refinement on top of these, not part of the
-  /// raw table).
-  void scores_batch(std::span<const common::BitVector> queries,
-                    std::vector<std::uint32_t>& out) const override;
+  /// The k binary class rows, one per class, ranked bipolar.
+  const search::CentroidPlane& plane() const override { return *plane_; }
 
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
 
   LeHdcHyperParams& hyper() { return hyper_; }
   /// Deployed binary class matrix (k x D), valid after fit().
-  const common::BitMatrix& binary_weights() const { return binary_; }
+  const common::BitMatrix& binary_weights() const {
+    return plane_->matrix();
+  }
   /// Latent FP weights W (clip box [-1, 1]); the training state.
   const common::Matrix& latent_weights() const { return weights_; }
 
  private:
-  /// Packs binary_ into plane_ and recounts row_pc_; called wherever
-  /// binary_ settles.
-  void freeze();
+  /// Deploys `binary` (k x D, sign(weights_)) as plane_.
+  void freeze(const common::BitMatrix& binary);
 
   hdc::IdLevelEncoder encoder_;
   LeHdcHyperParams hyper_;
-  common::Matrix weights_;     // latent FP weights, clipped to [-1, 1]
-  common::BitMatrix binary_;   // sign(weights), refreshed during training
-  std::shared_ptr<const common::BatchScorer> plane_;  // packed binary_
-  std::vector<std::int64_t> row_pc_;  // popcount of each row of binary_
+  common::Matrix weights_;  // latent FP weights, clipped to [-1, 1]
+  std::shared_ptr<const search::CentroidPlane> plane_;
 };
 
 }  // namespace memhd::baselines

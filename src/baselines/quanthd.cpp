@@ -21,7 +21,9 @@ QuantHd::QuantHd(std::size_t num_features, std::size_t num_classes,
                  const BaselineConfig& config)
     : BaselineModel(config, num_features, num_classes),
       encoder_(make_encoder_config(num_features, config)),
-      am_(class_am(common::Matrix(num_classes, config.dim, 0.0f))) {}
+      am_(class_am(common::Matrix(num_classes, config.dim, 0.0f))) {
+  am_.freeze();
+}
 
 void QuantHd::fit(const data::Dataset& train) {
   const auto encoded = encoder_.encode_dataset(train);
@@ -46,16 +48,6 @@ common::BitVector QuantHd::encode(std::span<const float> features) const {
 hdc::EncodedDataset QuantHd::encode_dataset(
     const data::Dataset& dataset) const {
   return encoder_.encode_dataset(dataset);
-}
-
-std::vector<data::Label> QuantHd::predict_batch(
-    std::span<const common::BitVector> queries) const {
-  return am_.predict_batch(queries);
-}
-
-void QuantHd::scores_batch(std::span<const common::BitVector> queries,
-                           std::vector<std::uint32_t>& out) const {
-  am_.scores_batch(queries, out);
 }
 
 void QuantHd::save_state(std::ostream& out) const {

@@ -5,8 +5,9 @@
 // §III-C generalizes exactly this scheme to multiple centroids per class,
 // so QuantHD is core::train_qat on a one-column-per-class
 // core::MultiCentroidAM (baselines::class_am) with no normalization, no
-// shuffling and no best-epoch restore. The AM is frozen after fit() and
-// load_state() so every search reads its packed plane.
+// shuffling and no best-epoch restore. The AM is frozen at construction,
+// after fit() and after load_state(); its frozen plane is the model's
+// plane().
 #pragma once
 
 #include "src/baselines/baseline.hpp"
@@ -28,11 +29,8 @@ class QuantHd final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  std::vector<data::Label> predict_batch(
-      std::span<const common::BitVector> queries) const override;
-  std::size_t score_rows() const override { return num_classes_; }
-  void scores_batch(std::span<const common::BitVector> queries,
-                    std::vector<std::uint32_t>& out) const override;
+  /// The class AM's frozen plane.
+  const search::CentroidPlane& plane() const override { return *am_.plane(); }
 
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;

@@ -1,7 +1,6 @@
 #include "src/baselines/searchd.hpp"
 
 #include "src/common/assert.hpp"
-#include "src/common/bitops_batch.hpp"
 #include "src/common/io.hpp"
 #include "src/common/rng.hpp"
 
@@ -22,14 +21,14 @@ hdc::IdLevelEncoderConfig make_encoder_config(std::size_t num_features,
 SearcHd::SearcHd(std::size_t num_features, std::size_t num_classes,
                  const BaselineConfig& config)
     : BaselineModel(config, num_features, num_classes),
-      encoder_(make_encoder_config(num_features, config)),
-      models_(num_classes * config.n_models, config.dim) {
+      encoder_(make_encoder_config(num_features, config)) {
   MEMHD_EXPECTS(config.n_models >= 1);
-  freeze();
+  freeze(common::BitMatrix(num_classes * config.n_models, config.dim));
 }
 
-void SearcHd::freeze() {
-  plane_ = std::make_shared<const common::BatchScorer>(models_);
+void SearcHd::freeze(const common::BitMatrix& models) {
+  plane_ = std::make_shared<const search::CentroidPlane>(
+      models, block_owners(num_classes_, config_.n_models));
 }
 
 common::BitVector SearcHd::encode(std::span<const float> features) const {
@@ -47,12 +46,13 @@ std::size_t SearcHd::row_of(std::size_t c, std::size_t j) const {
 }
 
 common::BitVector SearcHd::model_vector(std::size_t c, std::size_t j) const {
-  return models_.row_vector(row_of(c, j));
+  return models().row_vector(row_of(c, j));
 }
 
 void SearcHd::fit(const data::Dataset& train) {
   const auto encoded = encoder_.encode_dataset(train);
   common::Rng rng(config_.seed ^ 0x5EA2C0DEULL);
+  common::BitMatrix models(num_classes_ * config_.n_models, config_.dim);
 
   // Initialize each class's N models from random samples of that class
   // (SearcHD's multi-model initialization); classes with fewer than N
@@ -62,7 +62,7 @@ void SearcHd::fit(const data::Dataset& train) {
     MEMHD_EXPECTS(!idx.empty());
     for (std::size_t j = 0; j < config_.n_models; ++j) {
       const std::size_t pick = idx[rng.uniform_index(idx.size())];
-      models_.set_row(row_of(c, j), encoded.hypervectors[pick]);
+      models.set_row(row_of(c, j), encoded.hypervectors[pick]);
     }
   }
 
@@ -75,7 +75,7 @@ void SearcHd::fit(const data::Dataset& train) {
     std::size_t best_j = 0;
     std::size_t best_score = 0;
     for (std::size_t j = 0; j < config_.n_models; ++j) {
-      const std::size_t s = models_.row_dot(row_of(c, j), hv);
+      const std::size_t s = models.row_dot(row_of(c, j), hv);
       if (j == 0 || s > best_score) {
         best_score = s;
         best_j = j;
@@ -86,42 +86,24 @@ void SearcHd::fit(const data::Dataset& train) {
     // with probability flip_rate_.
     const std::size_t row = row_of(c, best_j);
     for (std::size_t b = 0; b < config_.dim; ++b) {
-      const bool mb = models_.get(row, b);
+      const bool mb = models.get(row, b);
       const bool hb = hv.get(b);
       if (mb != hb && rng.bernoulli(flip_rate_))
-        models_.set(row, b, hb);
+        models.set(row, b, hb);
     }
   }
-  freeze();
-}
-
-std::vector<data::Label> SearcHd::predict_batch(
-    std::span<const common::BitVector> queries) const {
-  // Fused winner-take-all over all k*N model vectors, then map the winning
-  // row to its owning class.
-  std::vector<std::uint32_t> best;
-  plane_->dot_argmax(queries, best);
-  std::vector<data::Label> out(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    out[q] = static_cast<data::Label>(best[q] / config_.n_models);
-  return out;
-}
-
-void SearcHd::scores_batch(std::span<const common::BitVector> queries,
-                           std::vector<std::uint32_t>& out) const {
-  plane_->scores(queries, common::PopcountOp::kAnd, out);
+  freeze(models);
 }
 
 void SearcHd::save_state(std::ostream& out) const {
   common::write_pod<double>(out, flip_rate_);
-  common::write_bit_matrix(out, models_);
+  common::write_bit_matrix(out, models());
 }
 
 void SearcHd::load_state(std::istream& in) {
   flip_rate_ = common::read_pod<double>(in);
-  models_ = common::read_bit_matrix(in, num_classes_ * config_.n_models,
-                                    config_.dim);
-  freeze();
+  freeze(common::read_bit_matrix(in, num_classes_ * config_.n_models,
+                                 config_.dim));
 }
 
 }  // namespace memhd::baselines

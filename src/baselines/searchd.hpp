@@ -10,9 +10,10 @@
 // There is no FP shadow and no iterative refinement; that is exactly the
 // accuracy gap MEMHD's clustering + QAT closes.
 //
-// Inference: argmax of binary dot similarity over all k*N vectors, through a
-// packed search plane built whenever the model matrix settles (construction,
-// fit, load_state) and shared by copies.
+// Inference: argmax of binary dot similarity over all k*N vectors, row r
+// owned by class r / N. The vectors live only in the model's
+// search::CentroidPlane, rebuilt whenever they settle (construction, fit,
+// load_state).
 #pragma once
 
 #include <memory>
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "src/baselines/baseline.hpp"
-#include "src/common/bit_matrix.hpp"
 #include "src/hdc/encoded_dataset.hpp"
 #include "src/hdc/id_level_encoder.hpp"
 
@@ -39,17 +39,8 @@ class SearcHd final : public BaselineModel {
   hdc::EncodedDataset encode_dataset(
       const data::Dataset& dataset) const override;
 
-  /// Batched inference over pre-encoded queries: one fused winner-take-all
-  /// over all k*N model vectors of the packed plane; the first maximal row
-  /// r maps to class r / N.
-  std::vector<data::Label> predict_batch(
-      std::span<const common::BitVector> queries) const override;
-
-  std::size_t score_rows() const override {
-    return num_classes_ * config_.n_models;
-  }
-  void scores_batch(std::span<const common::BitVector> queries,
-                    std::vector<std::uint32_t>& out) const override;
+  /// The k*N model vectors, row r owned by class r / N.
+  const search::CentroidPlane& plane() const override { return *plane_; }
 
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
@@ -57,7 +48,7 @@ class SearcHd final : public BaselineModel {
   std::size_t n_models() const { return config_.n_models; }
   /// Model vector j of class c (j in [0, N)).
   common::BitVector model_vector(std::size_t c, std::size_t j) const;
-  const common::BitMatrix& models() const { return models_; }
+  const common::BitMatrix& models() const { return plane_->matrix(); }
 
   /// Probability that a disagreeing bit copies from the sample during an
   /// update. SearcHD's alpha; defaults to 0.25.
@@ -65,12 +56,11 @@ class SearcHd final : public BaselineModel {
 
  private:
   std::size_t row_of(std::size_t c, std::size_t j) const;
-  /// Packs models_ into plane_; called wherever models_ settles.
-  void freeze();
+  /// Deploys `models` ((k * N) x D) as plane_.
+  void freeze(const common::BitMatrix& models);
 
   hdc::IdLevelEncoder encoder_;
-  common::BitMatrix models_;  // (k * N) x D
-  std::shared_ptr<const common::BatchScorer> plane_;  // packed models_
+  std::shared_ptr<const search::CentroidPlane> plane_;
   double flip_rate_ = 0.25;
 };
 

@@ -23,7 +23,6 @@
 // arithmetic — so callers batch freely.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -139,23 +138,6 @@ inline void BatchScorer::dot_argmax(std::span<const BitVector> queries,
   if (queries.empty() || rows_.empty()) return;
   const auto ptrs = detail::query_word_ptrs(queries, rows_.cols());
   dot_argmax(ptrs.data(), ptrs.size(), out.data());
-}
-
-/// Runs the fused batch recall over `queries` in bounded chunks through one
-/// reusable scorer and calls visit(query_index, best_row) for each query —
-/// the shared scaffold of the evaluation loops (chunking bounds the
-/// per-call working set while the scorer's repack amortizes across chunks).
-template <typename Visit>
-void chunked_dot_argmax(const BatchScorer& scorer,
-                        std::span<const BitVector> queries, Visit&& visit,
-                        std::size_t chunk = 2048) {
-  if (queries.empty() || scorer.rows() == 0) return;
-  std::vector<std::uint32_t> best;
-  for (std::size_t begin = 0; begin < queries.size(); begin += chunk) {
-    const std::size_t n = std::min(chunk, queries.size() - begin);
-    scorer.dot_argmax(queries.subspan(begin, n), best);
-    for (std::size_t i = 0; i < n; ++i) visit(begin + i, best[i]);
-  }
 }
 
 }  // namespace memhd::common

@@ -1,9 +1,12 @@
 #include "src/core/model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/assert.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/stats.hpp"
 #include "src/core/serialize.hpp"
 #include "src/hdc/bundling.hpp"
 
@@ -32,46 +35,12 @@ MemhdModel::MemhdModel(const MemhdConfig& cfg, std::size_t num_features,
   MEMHD_EXPECTS(cfg.columns >= num_classes);
 }
 
-MemhdModel::MemhdModel(const MemhdModel& other)
-    : cfg_(other.cfg_),
-      num_classes_(other.num_classes_),
-      encoder_(other.encoder_),  // immutable: shared, not copied
-      am_(other.am_ ? std::make_unique<MultiCentroidAM>(*other.am_)
-                    : nullptr),
-      cascade_(other.cascade_) {}  // immutable: shared, not rebuilt
-
-MemhdModel& MemhdModel::operator=(const MemhdModel& other) {
-  if (this == &other) return *this;
-  cfg_ = other.cfg_;
-  num_classes_ = other.num_classes_;
-  encoder_ = other.encoder_;
-  am_ = other.am_ ? std::make_unique<MultiCentroidAM>(*other.am_) : nullptr;
-  cascade_ = other.cascade_;
-  return *this;
-}
-
 void MemhdModel::refresh_search() {
-  if (am_ == nullptr) {
-    cascade_.reset();
-    return;
-  }
-  am_->freeze();
-  if (cfg_.cascade.enabled)
-    cascade_ = std::make_shared<const search::CascadeSearcher>(am_->plane(),
-                                                               cfg_.cascade);
-  else
-    cascade_.reset();
-}
-
-std::vector<data::Label> MemhdModel::predict_encoded(
-    std::span<const common::BitVector> encoded) const {
-  MEMHD_EXPECTS(am_ != nullptr);
-  if (cascade_ != nullptr) return am_->predict_batch(encoded, *cascade_);
-  return am_->predict_batch(encoded);
+  if (am_.has_value()) am_->freeze(cfg_.cascade);
 }
 
 const MultiCentroidAM& MemhdModel::am() const {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   return *am_;
 }
 
@@ -91,8 +60,7 @@ FitReport MemhdModel::fit_encoded(const hdc::EncodedDataset& train,
   MEMHD_EXPECTS(train.num_classes == num_classes_);
 
   FitReport report;
-  am_ = std::make_unique<MultiCentroidAM>(
-      initialize(train, cfg_, &report.init));
+  am_ = initialize(train, cfg_, &report.init);
 
   report.post_init_train_accuracy = evaluate_binary(*am_, train);
   if (eval != nullptr)
@@ -109,24 +77,24 @@ FitReport MemhdModel::fit_encoded(const hdc::EncodedDataset& train,
 }
 
 data::Label MemhdModel::predict(std::span<const float> features) const {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   // One row through the same search as predict_batch: in the cascade's
   // kThreshold mode the shortlist is part of the result, so only a shared
   // code path keeps predict() bit-identical to predict_batch() per row (the
   // api::Classifier contract).
   const common::BitVector hv = encoder_->encode(features);
-  return predict_encoded(std::span<const common::BitVector>(&hv, 1))[0];
+  return am_->predict_batch(std::span<const common::BitVector>(&hv, 1))[0];
 }
 
 std::vector<data::Label> MemhdModel::predict_batch(
     const common::Matrix& features) const {
-  MEMHD_EXPECTS(am_ != nullptr);
-  return predict_encoded(encoder_->encode_batch(features));
+  MEMHD_EXPECTS(am_.has_value());
+  return am_->predict_batch(encoder_->encode_batch(features));
 }
 
 PartialFitReport MemhdModel::partial_fit(
     const common::Matrix& samples, std::span<const data::Label> labels) {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   MEMHD_EXPECTS(samples.rows() == labels.size());
   MEMHD_EXPECTS(samples.cols() == num_features());
 
@@ -134,15 +102,21 @@ PartialFitReport MemhdModel::partial_fit(
   report.samples = labels.size();
   if (labels.empty()) return report;
 
+  // Labels come from the caller's data stream: a class id the AM cannot
+  // grow to is a typed error, raised before any state changes.
+  data::Label max_label = 0;
+  for (const auto label : labels) max_label = std::max(max_label, label);
+  if (max_label >= data::kMaxClasses)
+    throw std::invalid_argument(
+        "MemhdModel::partial_fit: label " + std::to_string(max_label) +
+        " exceeds the class limit " + std::to_string(data::kMaxClasses - 1));
+
   const auto encoded = encoder_->encode_batch(samples);
 
   // Slots whose FP row changes; re-binarized once at the end so every
   // untouched binary row stays bit-identical.
   std::vector<std::size_t> touched;
 
-  data::Label max_label = 0;
-  for (const auto label : labels) max_label = std::max(max_label, label);
-  MEMHD_EXPECTS(max_label < data::kMaxClasses);
   if (max_label >= num_classes_)
     extend_classes(static_cast<std::size_t>(max_label) + 1, encoded, labels,
                    touched, report);
@@ -191,7 +165,7 @@ PartialFitReport MemhdModel::partial_fit(
     am_->binarize_rows(touched);
   }
   // One re-freeze per batch (covers extend_classes growth too); readers
-  // holding the previous plane or cascade_ptr() keep their old snapshot.
+  // holding the previous plane keep their old snapshot.
   if (report.mispredicted > 0 || report.new_columns > 0) refresh_search();
   return report;
 }
@@ -246,7 +220,7 @@ void MemhdModel::extend_classes(std::size_t new_num_classes,
 }
 
 QatTrace MemhdModel::adapt(const data::Dataset& data, std::size_t epochs) {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   const auto encoded = encoder_->encode_dataset(data);
   QatConfig qc;
   qc.epochs = epochs;
@@ -260,17 +234,13 @@ QatTrace MemhdModel::adapt(const data::Dataset& data, std::size_t epochs) {
 }
 
 double MemhdModel::evaluate(const data::Dataset& test) const {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   if (test.empty()) return 0.0;
-  const auto predicted = predict_batch(test.features());
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < test.size(); ++i)
-    if (predicted[i] == test.label(i)) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(test.size());
+  return common::accuracy(test.labels(), predict_batch(test.features()));
 }
 
 double MemhdModel::evaluate_encoded(const hdc::EncodedDataset& test) const {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   return evaluate_binary(*am_, test);
 }
 
@@ -279,7 +249,7 @@ std::size_t MemhdModel::memory_bits() const {
 }
 
 void MemhdModel::save(const std::string& path) const {
-  MEMHD_EXPECTS(am_ != nullptr);
+  MEMHD_EXPECTS(am_.has_value());
   save_model(*this, path);
 }
 

@@ -14,6 +14,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "src/data/dataset.hpp"
 #include "src/hdc/projection_encoder.hpp"
 #include "src/search/cascade.hpp"
+#include "src/search/centroid_plane.hpp"
 
 namespace memhd::core {
 
@@ -46,38 +48,26 @@ class MemhdModel {
   MemhdModel(const MemhdConfig& cfg, std::size_t num_features,
              std::size_t num_classes);
 
-  /// Copies are cheap where it matters: the AM (FP shadow + binary plane)
-  /// is deep-copied, while the immutable projection encoder — the dominant
-  /// f x D plane — the AM's frozen packed search plane and the cascade are
-  /// SHARED between the copies. This is the copy-on-write building block
-  /// online::ModelStore versions are made of: partial_fit on a copy never
-  /// disturbs the original (a copy that changes its AM drops only its own
-  /// plane pointer), and the untouched planes are paid for once.
-  MemhdModel(const MemhdModel& other);
-  MemhdModel& operator=(const MemhdModel& other);
-  MemhdModel(MemhdModel&&) noexcept = default;
-  MemhdModel& operator=(MemhdModel&&) noexcept = default;
-
   const MemhdConfig& config() const { return cfg_; }
   std::size_t num_features() const { return encoder_->num_features(); }
   std::size_t num_classes() const { return num_classes_; }
 
   const hdc::ProjectionEncoder& encoder() const { return *encoder_; }
   /// Valid after fit()/fit_encoded(). A fitted model's AM is always frozen
-  /// (MultiCentroidAM::plane() is non-null): every mutation below ends by
-  /// re-freezing it.
+  /// (MultiCentroidAM::plane() is non-null, with the cascade inside when
+  /// cfg.cascade is enabled): every mutation below ends by re-freezing it.
   const MultiCentroidAM& am() const;
 
-  /// The coarse-to-fine searcher predictions route through, or nullptr
-  /// when cfg.cascade is disabled / the model is unfitted. Rebuilt by every
-  /// AM mutation (fit, partial_fit, adapt, load) over the AM's
-  /// frozen plane, so it always searches the deployed binary plane.
-  const search::CascadeSearcher* cascade() const { return cascade_.get(); }
-  /// Shared ownership of the same searcher: serving contexts
-  /// (api::Classifier::PredictContext) pin the snapshot they batch against
-  /// so a concurrent refresh can never tear a batch.
+  /// The frozen plane's cascade, or nullptr when cfg.cascade is disabled /
+  /// the model is unfitted. Rebuilt with the plane by every AM mutation
+  /// (fit, partial_fit, adapt, load), so it always searches the deployed
+  /// binary plane.
+  const search::CascadeSearcher* cascade() const {
+    return cascade_ptr().get();
+  }
+  /// Shared ownership of the same searcher.
   std::shared_ptr<const search::CascadeSearcher> cascade_ptr() const {
-    return cascade_;
+    return am_ && am_->frozen() ? am_->plane()->cascade_ptr() : nullptr;
   }
 
   /// Encodes, initializes, and trains. `eval` (optional) drives per-epoch
@@ -118,7 +108,9 @@ class MemhdModel {
   ///     copy-on-write versions share the untouched plane for real.
   ///
   /// `samples` is one row per sample (cols == num_features()); labels.size()
-  /// must equal samples.rows(). Call repeatedly for multiple passes.
+  /// must equal samples.rows(). Call repeatedly for multiple passes. Throws
+  /// std::invalid_argument, before changing anything, for a label at or
+  /// above data::kMaxClasses.
   PartialFitReport partial_fit(const common::Matrix& samples,
                                std::span<const data::Label> labels);
   /// Accuracy over a raw dataset.
@@ -146,24 +138,22 @@ class MemhdModel {
                       std::vector<std::size_t>& touched,
                       PartialFitReport& report);
 
-  /// Freezes am_'s packed search plane and re-builds cascade_ over it (or
-  /// clears cascade_ when the cascade is disabled). Called after every
-  /// mutation of am_, so readers never see an unfrozen AM.
+  /// Freezes am_'s search plane, with the cascade when enabled. Called
+  /// after every mutation of am_, so readers never see an unfrozen AM.
   void refresh_search();
-  /// The one search every predict path runs: the cascade when enabled,
-  /// the frozen exhaustive plane otherwise.
-  std::vector<data::Label> predict_encoded(
-      std::span<const common::BitVector> encoded) const;
 
   MemhdConfig cfg_;
   std::size_t num_classes_ = 0;
   /// Shared between copies (immutable after construction; see copy ctor).
   std::shared_ptr<const hdc::ProjectionEncoder> encoder_;
-  std::unique_ptr<MultiCentroidAM> am_;
-  /// Immutable searcher over am_'s frozen plane; shared between copies
-  /// like the encoder (a copy that later mutates its AM rebuilds its own).
-  /// Null when disabled.
-  std::shared_ptr<const search::CascadeSearcher> cascade_;
+  /// Copies are cheap where it matters: the AM (FP shadow + binary matrix)
+  /// is deep-copied, while the immutable projection encoder — the dominant
+  /// f x D plane — and the AM's frozen search plane (cascade included) are
+  /// shared_ptrs, so copies SHARE them. This is the copy-on-write building
+  /// block online::ModelStore versions are made of: partial_fit on a copy
+  /// never disturbs the original (a copy that changes its AM drops only its
+  /// own plane pointer), and the untouched planes are paid for once.
+  std::optional<MultiCentroidAM> am_;  // empty until fit / load
 };
 
 }  // namespace memhd::core

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/bitops_batch.hpp"
 #include "src/common/stats.hpp"
 #include "src/search/cascade.hpp"
+#include "src/search/centroid_plane.hpp"
 
 namespace memhd::core {
 
@@ -53,6 +53,7 @@ void MultiCentroidAM::set_centroid(std::size_t col, data::Label owner,
   owner_[col] = owner;
   class_slots_[owner].push_back(col);
   std::copy(values.begin(), values.end(), fp_.row(col).begin());
+  plane_.reset();
   fp_mean_.reset();
 }
 
@@ -66,8 +67,15 @@ double MultiCentroidAM::fp_mean() {
   return *fp_mean_;
 }
 
-void MultiCentroidAM::freeze() {
-  plane_ = std::make_shared<const common::BatchScorer>(binary_);
+void MultiCentroidAM::freeze(const search::CascadeConfig& cascade) {
+  plane_ = std::make_shared<const search::CentroidPlane>(
+      binary_, owner_, search::Ranking::kDot, cascade);
+}
+
+std::shared_ptr<const search::CentroidPlane> MultiCentroidAM::search_plane()
+    const {
+  if (plane_ != nullptr) return plane_;
+  return std::make_shared<const search::CentroidPlane>(binary_, owner_);
 }
 
 void MultiCentroidAM::binarize() {
@@ -176,11 +184,7 @@ void MultiCentroidAM::scores_binary(const common::BitVector& query,
 
 void MultiCentroidAM::scores_batch(std::span<const common::BitVector> queries,
                                    std::vector<std::uint32_t>& out) const {
-  if (plane_ != nullptr)
-    plane_->scores(queries, common::PopcountOp::kAnd, out);
-  else
-    common::BatchScorer(binary_).scores(queries, common::PopcountOp::kAnd,
-                                        out);
+  search_plane()->scores(queries, out);
 }
 
 void MultiCentroidAM::scores_fp(const common::BitVector& query,
@@ -227,19 +231,7 @@ data::Label MultiCentroidAM::predict_binary(
 
 std::vector<data::Label> MultiCentroidAM::predict_batch(
     std::span<const common::BitVector> queries) const {
-  // Fused winner-take-all search: same first-wins argmax as predict_binary,
-  // computed inside the scoring tiles (no per-query score table).
-  std::vector<std::uint32_t> best;
-  if (plane_ != nullptr)
-    plane_->dot_argmax(queries, best);
-  else
-    common::BatchScorer(binary_).dot_argmax(queries, best);
-  std::vector<data::Label> out(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    MEMHD_ENSURES(owner_[best[q]] != kUnassigned);
-    out[q] = owner_[best[q]];
-  }
-  return out;
+  return search_plane()->predict(queries);
 }
 
 std::vector<data::Label> MultiCentroidAM::predict_batch(
@@ -308,19 +300,7 @@ data::Label MultiCentroidAM::predict_with_metric(
 double evaluate_binary(const MultiCentroidAM& am,
                        const hdc::EncodedDataset& test) {
   MEMHD_EXPECTS(am.dim() == test.dim);
-  if (test.empty()) return 0.0;
-  // Batched recall in chunks: same predictions as per-query predict_binary.
-  std::size_t correct = 0;
-  const auto visit = [&](std::size_t i, std::uint32_t best) {
-    if (am.owner(best) == test.labels[i]) ++correct;
-  };
-  const std::span<const common::BitVector> queries(test.hypervectors);
-  if (am.frozen())
-    common::chunked_dot_argmax(*am.plane(), queries, visit);
-  else
-    common::chunked_dot_argmax(common::BatchScorer(am.binary()), queries,
-                               visit);
-  return static_cast<double>(correct) / static_cast<double>(test.size());
+  return common::accuracy(test.labels, am.predict_batch(test.hypervectors));
 }
 
 double evaluate_fp(const MultiCentroidAM& am,

@@ -11,16 +11,18 @@
 // matrix (used for search and for programming the IMC array).
 //
 // The search plane. Once training settles, freeze() packs the binary matrix
-// into an immutable common::BatchScorer — the software analogue of
-// programming the IMC arrays once — and every exhaustive batch read
-// (predict_batch, scores_batch, evaluate_binary) scores through it instead
-// of re-packing the C x D plane per call. The plane is held by shared_ptr:
-// copies of the AM (and so copy-on-write model versions) share one plane,
-// and serving contexts pin it by pointer. Every writer of the binary matrix
-// (binarize, binarize_rows, extend, restore_binary) drops the plane, so a
-// plane, when present, always equals binary() bit for bit; while it is
-// absent (mid-training) each batch read packs a one-shot BatchScorer of its
-// own, with identical results.
+// and the ownership map into an immutable search::CentroidPlane — the
+// software analogue of programming the IMC arrays once — and every
+// exhaustive batch read (predict_batch, scores_batch, evaluate_binary)
+// answers through it. For MEMHD the plane also carries the search cascade,
+// built over the same packed rows, so one object answers every search of a
+// model version. The plane is held by shared_ptr: copies of the AM (and so
+// copy-on-write model versions) share one plane, and serving contexts pin
+// it by pointer. Every writer of the binary matrix or the ownership map
+// (set_centroid, binarize, binarize_rows, extend, restore_binary) drops the
+// plane, so a plane, when present, always equals binary() and owner() bit
+// for bit; while it is absent (mid-training) each batch read builds a
+// one-shot plane of its own, with identical results.
 //
 // Thread contract: the plane pointer and the FP-mean cache are written only
 // by non-const members. A const AM may be read from any number of threads;
@@ -41,13 +43,11 @@
 #include "src/core/config.hpp"
 #include "src/data/dataset.hpp"
 #include "src/hdc/encoded_dataset.hpp"
-
-namespace memhd::common {
-class BatchScorer;
-}  // namespace memhd::common
+#include "src/search/cascade_config.hpp"
 
 namespace memhd::search {
 class CascadeSearcher;
+class CentroidPlane;
 struct CascadeStats;
 }  // namespace memhd::search
 
@@ -101,16 +101,18 @@ class MultiCentroidAM {
   /// True when fp_mean() would answer without scanning the FP shadow.
   bool fp_mean_cached() const { return fp_mean_.has_value(); }
 
-  /// Packs the current binary matrix into the shared, immutable search
-  /// plane (see the header comment). Call after the binary matrix settles;
-  /// any later binary writer drops the plane again. Like any BatchScorer,
-  /// the plane keeps the kernel backend active when it was built.
-  void freeze();
+  /// Packs the current binary matrix and ownership map into the shared,
+  /// immutable search plane (see the header comment), with a search
+  /// cascade over it when `cascade.enabled`. Call after the AM settles;
+  /// any later binary or ownership writer drops the plane again. Like any
+  /// BatchScorer, the plane keeps the kernel backend active when it was
+  /// built.
+  void freeze(const search::CascadeConfig& cascade = {});
   /// True when a search plane is present (and equals binary()).
   bool frozen() const { return plane_ != nullptr; }
-  /// The frozen search plane, or null while unfrozen. Serving contexts and
-  /// the search cascade hold it by pointer.
-  const std::shared_ptr<const common::BatchScorer>& plane() const {
+  /// The frozen search plane, or null while unfrozen. Serving contexts hold
+  /// it by pointer.
+  const std::shared_ptr<const search::CentroidPlane>& plane() const {
     return plane_;
   }
 
@@ -154,9 +156,7 @@ class MultiCentroidAM {
                      std::vector<std::uint32_t>& out) const;
   /// Blocked batch form of scores_binary: out[q * columns() + c] is query
   /// q's dot score against centroid c. Bit-identical to calling
-  /// scores_binary per query, but streams the AM through cache once per
-  /// query block (src/common/bitops_batch.hpp). Scores through the frozen
-  /// plane when present.
+  /// scores_binary per query, through the search plane.
   void scores_batch(std::span<const common::BitVector> queries,
                     std::vector<std::uint32_t>& out) const;
   /// FP dot similarity of the bipolar interpretation of `query` against
@@ -172,13 +172,14 @@ class MultiCentroidAM {
 
   /// Predicted class via binary search: owner of the best slot.
   data::Label predict_binary(const common::BitVector& query) const;
-  /// Batched predict_binary (same argmax and tie-breaking per query),
-  /// through the frozen plane when present.
+  /// Batched predict_binary (same argmax and tie-breaking per query)
+  /// through the search plane — its cascade when freeze() built one, which
+  /// in kThreshold mode may trade labels for speed.
   std::vector<data::Label> predict_batch(
       std::span<const common::BitVector> queries) const;
   /// Batched predict through a coarse-to-fine search cascade built over
-  /// THIS AM's binary plane (src/search/cascade.hpp). In kExact mode the
-  /// labels are bit-identical to the exhaustive overload above; kThreshold
+  /// THIS AM's binary matrix (src/search/cascade.hpp). In kExact mode the
+  /// labels are bit-identical to exhaustive search; kThreshold
   /// trades certified identity for pruned scoring work. `stats`, when
   /// given, accumulates the cascade's stage counters.
   std::vector<data::Label> predict_batch(
@@ -206,16 +207,19 @@ class MultiCentroidAM {
   std::vector<std::vector<std::size_t>> class_slots_;
   common::Matrix fp_;                          // columns_ x dim_
   common::BitMatrix binary_;                   // columns_ x dim_
-  /// Packed snapshot of binary_, null while unfrozen (see freeze()).
-  std::shared_ptr<const common::BatchScorer> plane_;
+  /// Packed snapshot of binary_ and owner_, null while unfrozen.
+  std::shared_ptr<const search::CentroidPlane> plane_;
   /// fp_.mean() as of the last scan; empty once an FP writer ran.
   std::optional<double> fp_mean_;
 
   static constexpr data::Label kUnassigned = 0xFFFF;
+
+  /// plane_, or a one-shot plane over the current state while unfrozen.
+  std::shared_ptr<const search::CentroidPlane> search_plane() const;
 };
 
-/// Accuracy of the binary multi-centroid AM over an encoded set (through
-/// the frozen plane when present).
+/// Accuracy of the binary multi-centroid AM over an encoded set (one
+/// predict_batch through the search plane).
 double evaluate_binary(const MultiCentroidAM& am,
                        const hdc::EncodedDataset& test);
 /// Accuracy of the FP AM over an encoded set (pre-quantization validation).

@@ -146,16 +146,13 @@ MemhdModel load_model(std::istream& in) {
   const common::BitMatrix bin =
       common::read_bit_matrix(in, cfg.columns, cfg.dim);
 
-  auto am = std::make_unique<MultiCentroidAM>(num_classes, cfg.dim,
-                                              cfg.columns);
+  MultiCentroidAM& am = model.am_.emplace(num_classes, cfg.dim, cfg.columns);
   for (std::size_t col = 0; col < cfg.columns; ++col) {
     if (owners[col] >= num_classes)
       throw std::runtime_error("load_model: bad centroid owner");
-    am->set_centroid(col, static_cast<data::Label>(owners[col]),
-                     fp.row(col));
+    am.set_centroid(col, static_cast<data::Label>(owners[col]), fp.row(col));
   }
-  am->restore_binary(bin);
-  model.am_ = std::move(am);
+  am.restore_binary(bin);
   model.refresh_search();
   return model;
 }

@@ -1,5 +1,7 @@
 #include "src/imc/mapping.hpp"
 
+#include <algorithm>
+
 #include "src/common/assert.hpp"
 
 namespace memhd::imc {
@@ -22,17 +24,38 @@ MappingCost map_dense(LogicalShape shape, ArrayGeometry geometry) {
   return cost;
 }
 
-MappingCost map_partitioned(std::size_t dim, std::size_t num_classes,
-                            std::size_t partitions, ArrayGeometry geometry) {
+std::vector<PartitionPass> partition_plan(std::size_t dim,
+                                          std::size_t num_classes,
+                                          std::size_t partitions,
+                                          ArrayGeometry geometry) {
   MEMHD_EXPECTS(dim > 0 && num_classes > 0 && partitions >= 1);
   MEMHD_EXPECTS(partitions <= dim);
-  const LogicalShape reshaped{ceil_div(dim, partitions),
-                              num_classes * partitions};
-  MappingCost cost = map_dense(reshaped, geometry);
-  // The physical arrays hold all partitions' columns at once, but each of
-  // the P query segments needs its own pass through the row tiles:
-  // cycles scale by P while the array count does not.
-  cost.cycles *= partitions;
+  const std::size_t rows_per_partition = ceil_div(dim, partitions);
+  std::vector<PartitionPass> plan(partitions);
+  for (std::size_t p = 0; p < partitions; ++p) {
+    PartitionPass& pass = plan[p];
+    pass.dim_begin = std::min(dim, p * rows_per_partition);
+    pass.dim_end = std::min(dim, pass.dim_begin + rows_per_partition);
+    pass.row_tiles = ceil_div(pass.dim_end - pass.dim_begin, geometry.rows);
+    pass.col_tile_begin = p * num_classes / geometry.cols;
+    pass.col_tile_end = ceil_div((p + 1) * num_classes, geometry.cols);
+  }
+  return plan;
+}
+
+MappingCost map_partitioned(std::size_t dim, std::size_t num_classes,
+                            std::size_t partitions, ArrayGeometry geometry) {
+  const auto plan = partition_plan(dim, num_classes, partitions, geometry);
+  MappingCost cost = map_dense(
+      LogicalShape{ceil_div(dim, partitions), num_classes * partitions},
+      geometry);
+  // The physical arrays hold all partitions' columns at once, but each
+  // query segment needs its own pass through the arrays it reaches (one
+  // activation per row tile per intersected column tile): cycles grow
+  // with P while the array count does not.
+  cost.cycles = 0;
+  for (const PartitionPass& pass : plan)
+    cost.cycles += pass.row_tiles * (pass.col_tile_end - pass.col_tile_begin);
   cost.activations = cost.cycles;
   return cost;
 }

@@ -37,8 +37,8 @@ struct MappingCost {
   std::size_t arrays = 0;   // tiles to hold the structure
   std::size_t cycles = 0;   // sequential cycles on one array per inference
   /// Array activations per inference when every tile has its own array
-  /// (energy-relevant count; equals cycles for dense mapping, and
-  /// arrays * P for partitioned mapping).
+  /// (energy-relevant count; equals cycles for dense and for partitioned
+  /// mapping, where each pass drives only the arrays partition_plan lists).
   std::size_t activations = 0;
   double utilization = 0.0;  // mapped cells / occupied-array cells
 };
@@ -47,9 +47,33 @@ struct MappingCost {
 /// shapes are chosen to tile exactly).
 MappingCost map_dense(LogicalShape shape, ArrayGeometry geometry);
 
+/// One partition's pass in P-way partitioned search over the reshaped
+/// ceil(D/P) x (k * P) layout: the query bits it streams and the arrays it
+/// drives.
+struct PartitionPass {
+  std::size_t dim_begin = 0;  // query bits [dim_begin, dim_end)
+  std::size_t dim_end = 0;
+  /// Row tiles the segment reaches: ceil((dim_end - dim_begin) / R). A
+  /// short tail partition may reach fewer than the layout has.
+  std::size_t row_tiles = 0;
+  /// Column tiles [col_tile_begin, col_tile_end) that the partition's
+  /// k-column group [p * k, (p + 1) * k) intersects.
+  std::size_t col_tile_begin = 0;
+  std::size_t col_tile_end = 0;
+};
+
+/// The tile plan of P-way partitioned search, one pass per partition.
+/// PartitionedAm executes exactly this plan and map_partitioned counts it,
+/// so the cost model and the functional arrays cannot disagree.
+std::vector<PartitionPass> partition_plan(std::size_t dim,
+                                          std::size_t num_classes,
+                                          std::size_t partitions,
+                                          ArrayGeometry geometry);
+
 /// Partitioned mapping of an AM of dimension `dim` x `num_classes` with P
 /// partitions: the logical shape becomes ceil(dim/P) x (num_classes * P),
-/// held once, and queried in P sequential passes.
+/// held once, and queried in P sequential passes whose cycles are the
+/// arrays partition_plan() drives.
 MappingCost map_partitioned(std::size_t dim, std::size_t num_classes,
                             std::size_t partitions, ArrayGeometry geometry);
 

@@ -10,8 +10,10 @@
 // — is that the result is *bit-identical* to the unpartitioned dot search:
 // partitioning is a pure layout transform that trades arrays for cycles
 // (see map_partitioned for the cost side). This module closes the loop by
-// executing the transform functionally on ImcArray tiles, with one tile
-// walk: the per-query scores()/predict() are one-row batch calls.
+// executing the transform functionally on ImcArray tiles, walking the same
+// tile plan (imc::partition_plan) the cost model counts, so functional
+// activations per query equal map_partitioned's cycles. The per-query
+// scores()/predict() are one-row batch calls.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,8 @@
 #include "src/common/bit_matrix.hpp"
 #include "src/common/bit_vector.hpp"
 #include "src/imc/imc_array.hpp"
+#include "src/imc/mapping.hpp"
+#include "src/imc/pipeline.hpp"
 
 namespace memhd::imc {
 
@@ -37,7 +41,7 @@ class PartitionedAm {
   std::size_t dim() const { return dim_; }
   std::size_t partitions() const { return partitions_; }
   /// Physical arrays holding the reshaped structure.
-  std::size_t num_arrays() const;
+  std::size_t num_arrays() const { return arrays_.num_arrays(); }
 
   /// Per-class dot scores of D-bit queries, out[q * num_classes() + c],
   /// computed in P sequential partition passes over the arrays. Per
@@ -57,20 +61,17 @@ class PartitionedAm {
   std::size_t predict(const common::BitVector& query);
 
   /// Compute cycles consumed so far (one per array activation).
-  std::size_t activations() const;
+  std::size_t activations() const { return arrays_.activations(); }
 
  private:
   std::size_t num_classes_ = 0;
   std::size_t dim_ = 0;
   std::size_t partitions_ = 0;
-  std::size_t rows_per_partition_ = 0;
   ArrayGeometry geometry_;
-  // Physical arrays, row-tile-major; the reshaped logical matrix has
-  // rows_per_partition_ wordlines and k * P columns.
-  std::vector<ImcArray> arrays_;
-  std::size_t row_tiles_ = 0;
-  std::size_t col_tiles_ = 0;
-  std::size_t logical_cols_ = 0;
+  std::vector<PartitionPass> plan_;  // one pass per partition
+  /// The reshaped ceil(D/P) x (k * P) logical matrix on physical arrays;
+  /// column p * k + c holds segment p of class c.
+  TiledMatrix arrays_;
 };
 
 }  // namespace memhd::imc

@@ -67,7 +67,7 @@ TiledMatrix::TiledMatrix(std::size_t logical_rows, std::size_t logical_cols,
   }
 }
 
-ImcArray& TiledMatrix::tile_mut(std::size_t rt, std::size_t ct) {
+ImcArray& TiledMatrix::tile(std::size_t rt, std::size_t ct) {
   MEMHD_EXPECTS(rt < row_tiles_ && ct < col_tiles_);
   return tiles_[rt * col_tiles_ + ct];
 }
@@ -91,7 +91,7 @@ std::vector<std::uint32_t> TiledMatrix::mvm_binary_batch(
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
       const std::size_t c0 = ct * geometry_.cols;
       const std::size_t width = std::min(logical_cols_ - c0, geometry_.cols);
-      const auto sums = tile_mut(rt, ct).mvm_binary_batch(block);
+      const auto sums = tile(rt, ct).mvm_binary_batch(block);
       for (std::size_t q = 0; q < inputs.size(); ++q) {
         std::uint32_t* qout = out.data() + q * logical_cols_ + c0;
         const std::uint32_t* qsums = sums.data() + q * geometry_.cols;
@@ -111,7 +111,7 @@ std::vector<float> TiledMatrix::mvm_real(std::span<const float> input) {
     const std::span<const float> segment = input.subspan(r0, r1 - r0);
     for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
       const std::size_t c0 = ct * geometry_.cols;
-      const auto partial = tile_mut(rt, ct).mvm_real(segment);
+      const auto partial = tile(rt, ct).mvm_real(segment);
       const std::size_t width =
           std::min(logical_cols_ - c0, geometry_.cols);
       for (std::size_t c = 0; c < width; ++c) out[c0 + c] += partial[c];

@@ -74,9 +74,11 @@ class TiledMatrix {
   void reset_counters();
 
   const ImcArray& tile(std::size_t rt, std::size_t ct) const;
+  /// Tile (rt, ct) for driving alone (partitioned search drives only the
+  /// tiles of one partition's pass).
+  ImcArray& tile(std::size_t rt, std::size_t ct);
 
  private:
-  ImcArray& tile_mut(std::size_t rt, std::size_t ct);
 
   ArrayGeometry geometry_;
   std::size_t logical_rows_ = 0;

@@ -61,19 +61,23 @@
 //       — the engine: BitMatrix x query-batch AND/XOR-popcount scoring and
 //         fused winner-take-all recall; it packs its rows once and serves
 //         any number of batches (rebuild it when the rows change).
+//   search::CentroidPlane — the one search object every model answers
+//       through: packed rows, row -> class owner map, ranking rule (dot,
+//       or LeHDC's bipolar rank) and an optional cascade over the same
+//       rows; immutable and shared by model copies and serving contexts.
 //   search::CascadeSearcher — coarse-to-fine recall for many-centroid AMs:
 //       bit-sampled prescreen plane + exact shortlist rescore
 //       (BatchScorer::scores_rows), with a certified exact mode and an
 //       approximate threshold mode (ModelOptions::cascade* knobs).
-//   core::MultiCentroidAM::scores_batch / predict_batch  (also the
-//       one-column-per-class AM of BasicHDC and QuantHD)
+//   core::MultiCentroidAM::scores_batch / predict_batch  (through its
+//       frozen plane; also the one-column-per-class AM of BasicHDC and
+//       QuantHD)
 //   hdc::ProjectionEncoder::encode_batch        (sample-blocked matmul)
 //   core::MemhdModel::predict_batch             (encode + search pipeline)
 //   imc::PartitionedAm::scores_batch / predict_batch
 //   imc::InMemoryPipeline::search_batch
-//   baselines::*::predict_batch / scores_batch  (all four, via the base
-//       BaselineModel contract the api:: adapters drive, each through a
-//       plane packed when its model settles)
+//   baselines::BaselineModel::predict_batch / scores_batch  (implemented
+//       once in the base over each model's frozen plane())
 //
 // The per-query entry points (models' predict(), PartitionedAm::scores /
 // predict, InMemoryPipeline::search, ImcArray::mvm_binary) are one-row
@@ -122,8 +126,10 @@
 // Clustering
 #include "src/clustering/kmeans.hpp"
 
-// Coarse-to-fine associative search (prescreen + exact shortlist rescore)
+// Associative search: the frozen centroid plane and the coarse-to-fine
+// cascade (prescreen + exact shortlist rescore)
 #include "src/search/cascade.hpp"
+#include "src/search/centroid_plane.hpp"
 
 // HDC toolbox
 #include "src/hdc/binding.hpp"

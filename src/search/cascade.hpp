@@ -38,9 +38,10 @@
 // searcher is safely shared, unsynchronized, by every serving thread and
 // every copy-on-write model version. Per-call statistics go to a
 // caller-owned CascadeStats, never to shared state. Rebuild the searcher
-// when the centroid plane changes (MemhdModel::refresh_search does; the
-// api::BatchServer shards re-pin it through their PredictContext rebuild on
-// hot swap).
+// when the centroid plane changes: search::CentroidPlane builds one inside
+// itself when its CascadeConfig is enabled, so MEMHD's re-freeze after
+// every AM mutation rebuilds it, and the api::BatchServer shards re-pin it
+// with the plane through their PredictContext rebuild on hot swap.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +88,8 @@ class CascadeSearcher {
   /// (sample_fraction outside (0, 1], shortlist == 0).
   CascadeSearcher(const common::BitMatrix& rows, const CascadeConfig& config);
   /// Builds the cascade over an already-packed exact plane and shares it
-  /// (core::MultiCentroidAM::plane(): one packed plane per AM version
-  /// serves both exhaustive and cascade search). `plane` must be non-null.
+  /// (search::CentroidPlane: one packed scorer per model version serves
+  /// both exhaustive and cascade search). `plane` must be non-null.
   CascadeSearcher(std::shared_ptr<const common::BatchScorer> plane,
                   const CascadeConfig& config);
 

@@ -74,9 +74,15 @@ void expect_load_state_restores_and_freezes() {
   std::stringstream state;
   model.save_state(state);
   Model loaded(split.train.num_features(), split.train.num_classes(), cfg);
-  EXPECT_FALSE(loaded.am().frozen());
+  // Frozen from construction (over the untrained rows): plane() is always
+  // present. load_state deploys a new plane over the restored rows.
+  ASSERT_TRUE(loaded.am().frozen());
+  const auto untrained = loaded.am().plane();
   loaded.load_state(state);
-  EXPECT_TRUE(loaded.am().frozen());
+  ASSERT_TRUE(loaded.am().frozen());
+  EXPECT_NE(loaded.am().plane(), untrained);
+  EXPECT_EQ(&loaded.plane(), loaded.am().plane().get());
+  EXPECT_TRUE(loaded.plane().matrix() == model.am().binary());
   EXPECT_TRUE(loaded.am().fp() == model.am().fp());
   EXPECT_TRUE(loaded.am().binary() == model.am().binary());
   for (std::size_t c = 0; c < loaded.num_classes(); ++c)

@@ -1,10 +1,13 @@
-// The frozen search plane (core::MultiCentroidAM::plane()): one packed
-// BatchScorer per AM version, built by freeze(), dropped by every writer of
-// the binary matrix, shared by model copies and pinned by pointer in
-// serving contexts. Covers the plane's lifecycle through every MemhdModel
-// mutation, bit-identity of frozen vs unfrozen reads against the dense
-// BitMatrix::mvm oracle on every compiled kernel backend, and the partial_fit
-// FP-mean cache.
+// The frozen search plane (search::CentroidPlane, as
+// core::MultiCentroidAM::plane()): one immutable plane per AM version,
+// built by freeze(), dropped by every writer of the binary matrix or the
+// ownership map, shared by model copies and pinned by pointer in serving
+// contexts. Covers the plane's lifecycle through every MemhdModel mutation;
+// on every compiled kernel backend and odd shapes, bit-identity of frozen vs
+// unfrozen reads against the dense BitMatrix::mvm oracle, first-wins owner
+// mapping over rows tied across classes, bipolar ranking against the
+// bipolar-dot oracle and the kExact cascade against exhaustive search; and
+// the partial_fit FP-mean cache.
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -21,6 +24,8 @@
 #include "src/common/stats.hpp"
 #include "src/core/model.hpp"
 #include "src/core/serialize.hpp"
+#include "src/search/cascade.hpp"
+#include "src/search/centroid_plane.hpp"
 #include "test_util.hpp"
 
 namespace memhd::core {
@@ -162,6 +167,12 @@ TEST(SearchPlane, EveryBinaryWriterDropsThePlane) {
     const common::BitMatrix snapshot = am.binary();
     am.restore_binary(snapshot);
   });
+  // The plane snapshots the ownership map too.
+  check("set_centroid", [](MultiCentroidAM& am) {
+    const auto row = std::as_const(am).fp().row(0);
+    am.set_centroid(0, static_cast<data::Label>(am.owner(0) == 0 ? 1 : 0),
+                    std::vector<float>(row.begin(), row.end()));
+  });
 
   // FP-only writers leave the deployed binary matrix, and so the plane.
   MultiCentroidAM am = model.am();
@@ -211,7 +222,8 @@ TEST(SearchPlane, PredictContextPinsTheModelsPlane) {
         dynamic_cast<const api::MemhdPredictContext*>(context.get());
     ASSERT_NE(pinned, nullptr);
     EXPECT_EQ(pinned->plane.get(), clf.model().am().plane().get());
-    EXPECT_EQ(pinned->cascade.get(), clf.model().cascade());
+    EXPECT_EQ(pinned->plane->cascade(), clf.model().cascade());
+    EXPECT_EQ(clf.model().cascade() != nullptr, cascade);
 
     const auto& features = split.test.features();
     std::vector<data::Label> out(features.rows());
@@ -309,7 +321,112 @@ TEST_P(SearchPlaneBackends, FrozenAndUnfrozenMatchTheDenseOracle) {
                     static_cast<double>(queries.size());
       EXPECT_DOUBLE_EQ(evaluate_binary(am, set), expected);
     }
-    EXPECT_EQ(&am.plane()->backend(), backend);
+    EXPECT_EQ(&am.plane()->scorer().backend(), backend);
+  }
+  EXPECT_GT(ran, 0u);
+}
+
+// Bipolar-dot oracle (LeHdc.BatchPredictMatchesBipolarDotOracle's): the
+// first row maximizing sum_j bipolar(row_j) * bipolar(query_j).
+std::size_t bipolar_argmax(const common::BitMatrix& rows,
+                           const common::BitVector& query) {
+  std::size_t best = 0;
+  long best_dot = 0;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    long dot = 0;
+    for (std::size_t j = 0; j < rows.cols(); ++j)
+      dot += (rows.get(r, j) == query.get(j)) ? 1 : -1;
+    if (r == 0 || dot > best_dot) {
+      best_dot = dot;
+      best = r;
+    }
+  }
+  return best;
+}
+
+TEST_P(SearchPlaneBackends, PlaneRanksOwnsAndCascadesLikeItsOracles) {
+  const auto [dim, rows] = GetParam();
+  BackendGuard guard;
+  std::size_t ran = 0;
+  for (const common::KernelBackend* backend : common::kernel_backends()) {
+    if (!backend->supported()) continue;
+    ASSERT_TRUE(common::select_backend(backend->name));
+    SCOPED_TRACE(backend->name);
+    ++ran;
+
+    // Rows repeat in pairs (row 4k+1 = row 4k) under different owners, so
+    // first-wins is visible in the label.
+    common::Rng rng(dim * 17 + rows);
+    common::BitMatrix bits(rows, dim);
+    for (std::size_t r = 0; r < rows; ++r)
+      bits.set_row(r, r % 4 == 1 ? bits.row_vector(r - 1)
+                                 : common::BitVector::random(dim, rng));
+    std::vector<data::Label> owners(rows);
+    for (std::size_t r = 0; r < rows; ++r)
+      owners[r] = static_cast<data::Label>((r * 7 + 3) % 5);
+
+    std::vector<common::BitVector> queries;
+    for (std::size_t q = 0; q < 37; ++q)
+      queries.push_back(common::BitVector::random(dim, rng));
+    for (std::size_t r = 0; r < rows; r += 4)  // self-matches of tied rows
+      queries.push_back(bits.row_vector(r));
+    // A sparse query: dot and bipolar rankings disagree most here.
+    common::BitVector sparse(dim);
+    sparse.set(dim / 2, true);
+    queries.push_back(sparse);
+
+    std::vector<data::Label> want_dot(queries.size());
+    std::vector<data::Label> want_bipolar(queries.size());
+    std::vector<std::uint32_t> want_scores, row_scores;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      bits.mvm(queries[q], row_scores);
+      want_scores.insert(want_scores.end(), row_scores.begin(),
+                         row_scores.end());
+      want_dot[q] = owners[common::argmax_u32(row_scores)];
+      want_bipolar[q] = owners[bipolar_argmax(bits, queries[q])];
+    }
+
+    const search::CentroidPlane dot(bits, owners);
+    EXPECT_EQ(dot.predict(queries), want_dot);
+    std::vector<std::uint32_t> scores;
+    dot.scores(queries, scores);
+    EXPECT_EQ(scores, want_scores);
+    EXPECT_EQ(&dot.scorer().backend(), backend);
+    EXPECT_TRUE(dot.matrix() == bits);
+    EXPECT_EQ(dot.cascade(), nullptr);
+
+    const search::CentroidPlane bipolar(bits, owners,
+                                        search::Ranking::kBipolar);
+    EXPECT_EQ(bipolar.predict(queries), want_bipolar);
+    bipolar.scores(queries, scores);  // raw AND table, whatever the rank
+    EXPECT_EQ(scores, want_scores);
+
+    // Block owners, as SearcHD maps its k*N rows (here N = 3, so tied
+    // rows 8 and 9 fall in different blocks).
+    std::vector<data::Label> blocks(rows);
+    for (std::size_t r = 0; r < rows; ++r)
+      blocks[r] = static_cast<data::Label>(r / 3);
+    const search::CentroidPlane searchd(bits, blocks);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      bits.mvm(queries[q], row_scores);
+      ASSERT_EQ(searchd.predict(std::span(&queries[q], 1))[0],
+                blocks[common::argmax_u32(row_scores)])
+          << q;
+    }
+
+    // kExact cascade through the plane: bit-identical to exhaustive.
+    search::CascadeConfig exact;
+    exact.enabled = true;
+    exact.mode = search::CascadeMode::kExact;
+    exact.sample_fraction = 0.75;
+    exact.shortlist = 4;
+    const search::CentroidPlane cascaded(bits, owners, search::Ranking::kDot,
+                                         exact);
+    ASSERT_NE(cascaded.cascade(), nullptr);
+    EXPECT_EQ(cascaded.predict(queries), want_dot);
+    std::vector<data::Label> into(queries.size());
+    cascaded.predict(queries, into);
+    EXPECT_EQ(into, want_dot);
   }
   EXPECT_GT(ran, 0u);
 }
@@ -317,6 +434,16 @@ TEST_P(SearchPlaneBackends, FrozenAndUnfrozenMatchTheDenseOracle) {
 INSTANTIATE_TEST_SUITE_P(OddShapes, SearchPlaneBackends,
                          ::testing::Combine(::testing::Values(65, 127, 193),
                                             ::testing::Values(5, 19, 37)));
+
+TEST(SearchPlane, RejectsCascadeWithBipolarRankingByContract) {
+  common::Rng rng(3);
+  const auto bits = common::BitMatrix::random(6, 128, rng);
+  search::CascadeConfig cascade;
+  cascade.enabled = true;
+  EXPECT_DEATH(search::CentroidPlane(bits, std::vector<data::Label>(6, 0),
+                                     search::Ranking::kBipolar, cascade),
+               "precondition");
+}
 
 // ------------------------------------------------ partial_fit mean cache --
 

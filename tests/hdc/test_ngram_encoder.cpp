@@ -19,13 +19,6 @@ NgramEncoderConfig config(std::size_t n = 3, std::size_t dim = 1024) {
   return cfg;
 }
 
-std::vector<std::size_t> random_sequence(std::size_t len,
-                                         std::size_t alphabet, Rng& rng) {
-  std::vector<std::size_t> s(len);
-  for (auto& t : s) t = rng.uniform_index(alphabet);
-  return s;
-}
-
 TEST(NgramEncoder, Deterministic) {
   const NgramEncoder a(config());
   const NgramEncoder b(config());

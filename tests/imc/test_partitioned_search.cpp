@@ -108,8 +108,8 @@ TEST(PartitionedSearch, ShortTailPartitionSkipsItsEmptyRowTile) {
   // D = 257, P = 2, 10 classes on 128x128 arrays: 129 wordlines per
   // partition, so 2 row tiles. Partition 0 drives both; partition 1 holds
   // only 128 dimensions and never reaches row tile 1, which is skipped:
-  // 3 activations per query. The architectural cost model charges every
-  // partition a full pass over the row tiles (2 x 2 = 4 cycles).
+  // 3 activations per query. The cost model counts the same tile plan, so
+  // its cycles equal the functional activations per query.
   Rng rng(8);
   const BitMatrix am = BitMatrix::random(10, 257, rng);
   std::vector<BitVector> queries;
@@ -123,7 +123,8 @@ TEST(PartitionedSearch, ShortTailPartitionSkipsItsEmptyRowTile) {
       ASSERT_EQ(batch[q * am.rows() + c], dense[c]) << "q=" << q;
   }
   EXPECT_EQ(part.activations(), 15u);
-  EXPECT_EQ(map_partitioned(257, 10, 2, ArrayGeometry{128, 128}).cycles, 4u);
+  EXPECT_EQ(map_partitioned(257, 10, 2, ArrayGeometry{128, 128}).cycles,
+            part.activations() / queries.size());
 
   // A one-row call costs one query's worth.
   part.scores(queries[0]);
@@ -206,10 +207,13 @@ TEST_P(BatchShapeSweep, BatchMatchesDenseAcrossOddShapes) {
           << "D=" << dim << " P=" << partitions << " g=" << geometry.rows
           << "x" << geometry.cols << " q=" << q;
   }
-  // The block path bumps each driven array by the batch size.
-  EXPECT_EQ(part.activations(),
-            queries.size() * expected_activations_per_query(
-                                 dim, classes, partitions, geometry));
+  // The block path bumps each driven array by the batch size, and the cost
+  // model's cycles are the same per-query count.
+  const std::size_t per_query =
+      expected_activations_per_query(dim, classes, partitions, geometry);
+  EXPECT_EQ(part.activations(), queries.size() * per_query);
+  EXPECT_EQ(map_partitioned(dim, classes, partitions, geometry).cycles,
+            per_query);
 }
 
 TEST_P(BatchShapeSweep, NoisyBatchReproducesPerQuerySeededDenseReads) {

@@ -3,6 +3,7 @@
 // centroid rows change (the bit-identity property COW versioning relies on).
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +170,31 @@ TEST(PartialFit, EmptyBatchIsANoOp) {
       model.partial_fit(common::Matrix(0, model.num_features()), {});
   EXPECT_EQ(report.samples, 0u);
   EXPECT_EQ(report.touched_centroids, 0u);
+  EXPECT_EQ(model.predict_batch(split.test.features()), before);
+}
+
+TEST(PartialFit, ClassPastTheLimitThrowsBeforeAnyChange) {
+  const auto split = testing::tiny_separable();
+  MemhdModel model(small_config(), split.train.num_features(),
+                   split.train.num_classes());
+  model.fit(split.train);
+  const auto before = model.predict_batch(split.test.features());
+  const common::BitMatrix binary = model.am().binary();
+  const common::Matrix fp = model.am().fp();
+  const auto plane = model.am().plane();
+
+  // A batch whose other rows are ordinary misses and growth: nothing of it
+  // may land when one label is past the class limit.
+  const common::Matrix batch = split.train.features();
+  std::vector<data::Label> labels(batch.rows(), 1);
+  labels[0] = static_cast<data::Label>(model.num_classes());
+  labels.back() = data::Label{0xFFFF};
+  EXPECT_THROW(model.partial_fit(batch, labels), std::invalid_argument);
+
+  EXPECT_EQ(model.num_classes(), split.train.num_classes());
+  EXPECT_EQ(model.am().plane(), plane);
+  EXPECT_TRUE(model.am().binary() == binary);
+  EXPECT_TRUE(model.am().fp() == fp);
   EXPECT_EQ(model.predict_batch(split.test.features()), before);
 }
 

@@ -43,6 +43,13 @@ Three record shapes are understood, keyed on the "bench" field:
   clone/publish costs may not grow past --swap-factor x baseline
   (normalized the same way).
 
+Every record kind FAILS when its "threads" differs from its committed
+baseline's: throughput, latency and within-run speedups all move with the
+pool size (the cascade speedup roughly halves at 4 threads), so a record is
+only comparable to a baseline taken at the same thread count. The committed
+baselines were recorded at threads=1, so CI runs every JSON bench with
+MEMHD_NUM_THREADS=1.
+
 --write-baseline (alias of --update; see below) rewrites the matching
 baseline file from CURRENT_JSON and reports PASS — the first-run path for a
 freshly added bench.
@@ -74,9 +81,6 @@ The gate:
   * skips with a notice any section whose recorded per-section "backend"
     differs between the current run and the baseline (sections record the
     backend active while they were measured);
-  * FAILS when the record's "threads" differs from the baseline's: the
-    committed baselines were recorded at threads=1, so CI runs the bench
-    with MEMHD_NUM_THREADS=1.
 
 --update rewrites the baseline for the current kernel from CURRENT_JSON
 (use after an intentional perf change, then commit the file). Committed
@@ -98,6 +102,29 @@ SCALAR_KEY = "scalar_queries_per_sec"
 def load(path):
     with open(path) as f:
         return json.load(f)
+
+
+def baseline_path_for(current, baseline_dir):
+    """The committed baseline a record is gated against."""
+    bench = current.get("bench")
+    if bench in ("serve", "cascade", "online"):
+        return pathlib.Path(baseline_dir) / f"BENCH_{bench}.json"
+    kernel = current.get("kernel", "unknown")
+    return pathlib.Path(baseline_dir) / f"BENCH_micro_kernels.{kernel}.json"
+
+
+def thread_mismatch(current, baseline_path):
+    """Failure text when the record and its baseline ran at different pool
+    sizes. A mismatch is a misconfigured gate, not a section to skip: run the
+    bench with MEMHD_NUM_THREADS set to the baseline's count."""
+    if not baseline_path.exists():
+        return None
+    base_threads = load(baseline_path).get("threads")
+    if current.get("threads") == base_threads:
+        return None
+    return (f"record measured at threads={current.get('threads')} but "
+            f"{baseline_path} was recorded at threads={base_threads}; rerun "
+            f"with MEMHD_NUM_THREADS matching the baseline")
 
 
 def sections(record):
@@ -134,7 +161,7 @@ def check_serve(current, args):
             f"{current['load_0.5x']['reject_rate']:.2%} at half capacity — "
             "underload should be essentially reject-free")
 
-    baseline_path = pathlib.Path(args.baseline_dir) / "BENCH_serve.json"
+    baseline_path = baseline_path_for(current, args.baseline_dir)
     if args.update:
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(current, indent=2) + "\n")
@@ -233,7 +260,7 @@ def check_cascade(current, args):
             f"the fitted model — above the 0.5% budget")
 
     # Speedups are within-run ratios, so they transfer across machines.
-    baseline_path = pathlib.Path(args.baseline_dir) / "BENCH_cascade.json"
+    baseline_path = baseline_path_for(current, args.baseline_dir)
     if args.update:
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(current, indent=2) + "\n")
@@ -287,7 +314,7 @@ def check_online(current, args):
             f"{no_swap_p99:.3f} ms x {args.swap_factor:g} — hot swapping is "
             f"stalling the serve path")
 
-    baseline_path = pathlib.Path(args.baseline_dir) / "BENCH_online.json"
+    baseline_path = baseline_path_for(current, args.baseline_dir)
     if args.update:
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(current, indent=2) + "\n")
@@ -362,6 +389,13 @@ def main():
     args.update = args.update or args.write_baseline
 
     current = load(args.current)
+    if not args.update:
+        mismatch = thread_mismatch(
+            current, baseline_path_for(current, args.baseline_dir))
+        if mismatch:
+            print(f"\nFAIL ({current.get('bench', 'micro_kernels')}):")
+            print(f"  - {mismatch}")
+            return 1
     if current.get("bench") == "serve":
         return check_serve(current, args)
     if current.get("bench") == "cascade":
@@ -369,8 +403,7 @@ def main():
     if current.get("bench") == "online":
         return check_online(current, args)
     kernel = current.get("kernel", "unknown")
-    baseline_path = (pathlib.Path(args.baseline_dir) /
-                     f"BENCH_micro_kernels.{kernel}.json")
+    baseline_path = baseline_path_for(current, args.baseline_dir)
 
     failures = []
     for name, record in sections(current).items():
@@ -411,19 +444,8 @@ def main():
               f"than gating against another backend's numbers. "
               f"Committed baselines: {known or 'none'}. "
               f"Create one with --update.")
-    elif (current.get("threads") !=
-          (baseline := load(baseline_path)).get("threads")):
-        # Throughput scales with the pool size (and partitioned_search even
-        # inverts), so a record is only comparable to a baseline taken at
-        # the same thread count. A mismatch is a misconfigured gate, not a
-        # section to skip: run the bench with MEMHD_NUM_THREADS set to the
-        # baseline's count.
-        failures.append(
-            f"record measured at threads={current.get('threads')} but "
-            f"{baseline_path} was recorded at threads="
-            f"{baseline.get('threads')}; rerun with "
-            f"MEMHD_NUM_THREADS matching the baseline")
     else:
+        baseline = load(baseline_path)
         common = [n for n in sections(baseline) if n in sections(current)]
         for name in sections(baseline):
             if name not in sections(current):
